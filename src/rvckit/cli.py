@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are uniform across subcommands: 0 for success or a yes decision,
-1 for a no decision or a failed check, 2 for usage and input-format errors.
+1 for a no decision or a failed check, 2 for usage and input-format errors,
+3 for an internal error (an unexpected exception, which is a bug).
 Decision subcommands take --expect-yes / --expect-no so shell scripts can
 assert either polarity without inspecting stdout.
 """
@@ -12,12 +13,14 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .gadgets import build_gadget, lift_coloring, pendant_reduction, project_coloring
-from .graphs import Graph, PairSet, VertexColoring, graph_from_edges, pair_set
+from .graphs import Graph, PairSet, VertexColoring, graph_from_edges
 from .harness import SUITE_NAMES, run_suite
 from .io import (
     InstanceFormatError,
+    _parse_pairs,
     emit_dot,
     emit_gadget,
     emit_instance,
@@ -53,17 +56,11 @@ def _inline_or_file(value: str):
 
 def _pairs_arg(value: str, g: Graph) -> PairSet:
     obj = _inline_or_file(value)
-    if isinstance(obj, dict):
-        obj = obj.get("pairs")
-    if not isinstance(obj, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p) for p in obj
-    ):
+    if not isinstance(obj, dict):
+        obj = {"pairs": obj}
+    ps = _parse_pairs(obj, g)
+    if ps is None:
         raise InstanceFormatError("--pairs must supply a list of [a, b] pairs")
-    try:
-        ps = pair_set(tuple(p) for p in obj)
-        ps.check_in_range(g)
-    except ValueError as e:
-        raise InstanceFormatError(f"bad pair list: {e}") from None
     return ps
 
 
@@ -340,12 +337,15 @@ def cli_main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except InstanceFormatError as e:
+    except (ValueError, OSError) as e:  # InstanceFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        # Python's own exit code for an uncaught exception is 1, which here
+        # means "no"; a crash must never read as an answer.
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

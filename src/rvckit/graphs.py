@@ -97,8 +97,10 @@ class PairSet:
     def __post_init__(self):
         for p in self.pairs:
             u, v = p
-            if not (isinstance(u, int) and isinstance(v, int)) or not u < v:
-                raise ValueError(f"pair {p} is not a normalized (i, j) with i < j")
+            # type() rather than isinstance(): bool is an int subclass, and
+            # True would silently alias vertex 1.
+            if type(u) is not int or type(v) is not int or not 0 <= u < v:
+                raise ValueError(f"pair {p} is not a normalized (i, j) with 0 <= i < j")
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.pairs))

@@ -45,20 +45,30 @@ def _load_object(text: str) -> dict:
     return obj
 
 
+def _is_int(x) -> bool:
+    """True for JSON integers; json.loads turns true/false into bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_pair_list(raw, name: str) -> list:
+    """Check a JSON list of [a, b] integer pairs and return it as tuples."""
+    if not isinstance(raw, list):
+        raise InstanceFormatError(f"field '{name}' must be a list of [a, b] pairs")
+    out = []
+    for idx, p in enumerate(raw):
+        if not isinstance(p, list) or len(p) != 2 or not all(_is_int(x) for x in p):
+            raise InstanceFormatError(f"{name}[{idx}] must be a two-integer list")
+        out.append((p[0], p[1]))
+    return out
+
+
 def _parse_graph(obj: dict) -> Graph:
     n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InstanceFormatError("field 'n' must be a positive integer")
-    edges = obj.get("edges")
-    if not isinstance(edges, list):
-        raise InstanceFormatError("field 'edges' must be a list of [u, v] pairs")
-    norm = []
-    for idx, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, int) for x in e):
-            raise InstanceFormatError(f"edges[{idx}] must be a two-integer list")
-        norm.append((e[0], e[1]))
+    edges = _parse_pair_list(obj.get("edges"), "edges")
     try:
-        return graph_from_edges(n, norm)
+        return graph_from_edges(n, edges)
     except ValueError as e:
         raise InstanceFormatError(f"bad edge list: {e}") from None
 
@@ -67,13 +77,7 @@ def _parse_pairs(obj: dict, g: Graph) -> PairSet | None:
     raw = obj.get("pairs")
     if raw is None:
         return None
-    if not isinstance(raw, list):
-        raise InstanceFormatError("field 'pairs' must be a list of [a, b] pairs")
-    out = []
-    for idx, p in enumerate(raw):
-        if not isinstance(p, list) or len(p) != 2 or not all(isinstance(x, int) for x in p):
-            raise InstanceFormatError(f"pairs[{idx}] must be a two-integer list")
-        out.append((p[0], p[1]))
+    out = _parse_pair_list(raw, "pairs")
     try:
         ps = pair_set(out)
         ps.check_in_range(g)
@@ -86,16 +90,14 @@ def _parse_coloring(obj: dict, g: Graph) -> VertexColoring | None:
     raw = obj.get("coloring")
     if raw is None:
         return None
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
         raise InstanceFormatError("field 'coloring' must be a list of integers")
     if len(raw) != g.n:
         raise InstanceFormatError(
             f"coloring has {len(raw)} entries, graph has {g.n} vertices"
         )
     k = obj.get("k", max(raw, default=1))
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InstanceFormatError("field 'k' must be a positive integer")
     try:
         return VertexColoring(tuple(raw), k)
@@ -195,7 +197,7 @@ def parse_gadget(text: str) -> GadgetGraph:
     if pairs is None:
         raise InstanceFormatError("gadget file must carry a 'pairs' key")
     k = obj.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+    if not _is_int(k) or k < 2:
         raise InstanceFormatError("gadget file must carry an integer 'k' >= 2")
     raw_labels = obj.get("labels")
     if not isinstance(raw_labels, list) or len(raw_labels) != g.n:

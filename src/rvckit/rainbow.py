@@ -6,9 +6,17 @@ most k internal vertices, so every search below caps path length at k+1 edges.
 
 The search state is (current vertex, set of internal colors used so far).
 Because internal colors must stay distinct, two internal vertices can never
-coincide, so the color set captures a partial path exactly and states can be
-deduplicated without losing any simple path.  The start vertex is barred from
-re-entry, which closes the one loophole (its color is not charged).
+coincide, so the color set captures a partial path exactly.  Each step adds
+one color, so a state's color set has as many colors as its path has edges.
+
+States are pruned by subset dominance: a new state (y, m2) is dropped when y
+already holds a color set m with m a subset of m2.  Any continuation from
+(y, m2) is also a valid continuation from (y, m): its colors avoid m2 and so
+avoid m, which keeps its vertices off the internal vertices of the shorter
+prefix.  A strict subset was reached by a strictly shorter path, so a
+dominated state is never on a shortest path; m = m2 is plain duplicate
+removal.  The source holds the empty set, which dominates every state that
+would re-enter it (its color is not charged, so re-entry must be barred).
 """
 
 from __future__ import annotations
@@ -93,8 +101,17 @@ def is_rainbow_path(c: VertexColoring, p: PathWitness) -> bool:
     return len({c.colors[v] for v in internal}) == len(internal)
 
 
-def _rainbow_search(g: Graph, c: VertexColoring, source: int, targets, want_witness: bool):
+def _color_bits(c: VertexColoring) -> list:
+    """Per-vertex bitmask of its color: color j maps to bit j-1."""
+    return [1 << (col - 1) for col in c.colors]
+
+
+def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets, want_witness: bool):
     """Shared engine: find rainbow paths from source to the given targets.
+
+    ``bit`` is the coloring as per-vertex bitmasks (:func:`_color_bits`) and
+    ``budget`` is path_budget(n, k); callers that search from many sources
+    build both once.
 
     Runs a level-synchronized BFS over (vertex, color-set) states, expanding
     states in lexicographic order of the underlying path, so the first path
@@ -102,12 +119,19 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, targets, want_witn
     the shortest.  Returns a witness tuple (or None) when want_witness is
     set, otherwise the set of targets reached.
 
+    A generated state (y, m2) is dropped when some color set m already held
+    at y is a subset of m2 (``m & m2 == m``).  Set sizes equal path lengths,
+    so a strict subset was held from an earlier level, and any path through
+    (y, m2) has a strictly shorter counterpart through (y, m); an equal set
+    was held from an earlier, lexicographically smaller path of the same
+    length.  Hence every frontier is the frontier of the search without
+    pruning minus dominated states, in the same order and with the same
+    parents, and both the reached targets and the witness are unchanged.
+
     Every call asserts that the number of expanded states stays within
-    path_budget(n, k); expanded states are deduplicated partial paths, so the
-    bound is never exceeded by a correct search.
+    budget; expanded states are distinct partial paths, so the bound is never
+    exceeded by a correct search.
     """
-    colors = c.colors
-    budget = path_budget(g.n, c.k)
     expansions = 0
 
     remaining = set(targets)
@@ -123,14 +147,11 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, targets, want_witn
                 _note_call(expansions)
                 return (source, y)
 
-    bit = [0] * (g.n)
-    for v in range(g.n):
-        bit[v] = 1 << (colors[v] - 1)
-
     # Each frontier entry is (vertex, mask); parents reconstructs witnesses.
+    # seen[y] lists the masks accepted at y, in the order they were reached.
     frontier = [(source, 0)]
-    seen = [set() for _ in range(g.n)]
-    seen[source].add(0)
+    seen = [[] for _ in range(g.n)]
+    seen[source].append(0)
     parents = {} if want_witness else None
 
     while frontier and remaining:
@@ -159,18 +180,19 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, targets, want_witn
                         return tuple(path)
                     if not remaining:
                         break
-                if y == source:
-                    continue
                 b = bit[y]
                 if mask & b:
                     continue
                 m2 = mask | b
-                if m2 in seen[y]:
-                    continue
-                seen[y].add(m2)
-                if want_witness:
-                    parents[(y, m2)] = state
-                next_frontier.append((y, m2))
+                masks = seen[y]
+                for m in masks:
+                    if m & m2 == m:
+                        break
+                else:
+                    masks.append(m2)
+                    if want_witness:
+                        parents[(y, m2)] = state
+                    next_frontier.append((y, m2))
             if not remaining:
                 break
         frontier = next_frontier
@@ -200,7 +222,8 @@ def exists_rainbow_path(g: Graph, c: VertexColoring, u: int, v: int) -> PathWitn
     g.check_vertex(v)
     if u == v:
         raise ValueError("rainbow path endpoints must differ")
-    path = _rainbow_search(g, c, u, {v}, want_witness=True)
+    budget = path_budget(g.n, c.k)
+    path = _rainbow_search(g, _color_bits(c), budget, u, {v}, want_witness=True)
     if path is None:
         return None
     return PathWitness(g, path)
@@ -213,9 +236,11 @@ def is_subset_rainbow_vc(g: Graph, c: VertexColoring, p: PairSet) -> bool:
     by_source: dict = {}
     for a, b in p:
         by_source.setdefault(a, set()).add(b)
+    bit = _color_bits(c)
+    budget = path_budget(g.n, c.k)
     for source in sorted(by_source):
         targets = by_source[source]
-        found = _rainbow_search(g, c, source, targets, want_witness=False)
+        found = _rainbow_search(g, bit, budget, source, targets, want_witness=False)
         if found != targets:
             return False
     return True
@@ -232,9 +257,11 @@ def is_rainbow_vertex_connected(g: Graph, c: VertexColoring) -> bool:
     check_total_coloring(g, c)
     if not is_connected(g):
         raise ValueError("rainbow vertex-connection is defined for connected graphs")
+    bit = _color_bits(c)
+    budget = path_budget(g.n, c.k)
     for source in range(g.n - 1):
         targets = set(range(source + 1, g.n))
-        found = _rainbow_search(g, c, source, targets, want_witness=False)
+        found = _rainbow_search(g, bit, budget, source, targets, want_witness=False)
         if found != targets:
             return False
     return True

@@ -106,6 +106,18 @@ class TestVerify:
         assert cli_main(["verify", "-i", p5_file]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("pairs", ["[[-1, 2]]", "[[0, true]]", '{"pairs": [[false, 2]]}'])
+    def test_bad_vertex_ids_in_pairs_are_usage_errors(self, p5_file, pairs, capsys):
+        code = cli_main(["verify", "-i", p5_file, "--pairs", pairs, "--coloring", "[1, 1, 1, 1, 1]"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_boolean_vertex_id_in_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"n": 4, "edges": [[0, true], [1, 2], [2, 3]], "coloring": [1, 1, 1, 1]}')
+        assert cli_main(["verify", "-i", str(path)]) == 2
+        assert "edges[0]" in capsys.readouterr().err
+
 
 class TestGadgetLiftProject:
     def test_gadget_writes_instance_and_dot(self, p3_file, tmp_path, capsys):
@@ -212,6 +224,14 @@ class TestUsageAndErrors:
         path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')
         assert cli_main(["solve", "-i", str(path)]) == 2
         capsys.readouterr()
+
+    def test_internal_error_exits_three_not_one(self, p5_file, monkeypatch, capsys):
+        def crash(g, k):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("rvckit.cli.decide_rvc_le_k", crash)
+        assert cli_main(["decide", "-i", p5_file, "-k", "2", "--expect-no"]) == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(p5_file):

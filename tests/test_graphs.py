@@ -77,6 +77,11 @@ class TestPairSet:
         with pytest.raises(ValueError):
             p.check_in_range(path_graph(3))
 
+    @pytest.mark.parametrize("pair", [(-1, 2), (True, 2), (0, True)])
+    def test_rejects_negative_and_boolean_ids(self, pair):
+        with pytest.raises(ValueError):
+            pair_set([pair])
+
     def test_all_vertex_pairs_count(self):
         assert len(all_vertex_pairs(path_graph(5))) == 10
         assert len(EMPTY_PAIRS) == 0

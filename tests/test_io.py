@@ -50,8 +50,11 @@ class TestParseInstance:
             ('{"n": 2, "edges": [[0]]}', "edges[0]"),
             ('{"n": 2, "edges": [[0, 9]]}', "bad edge list"),
             ('{"n": 2, "edges": [[0, 0]]}', "bad edge list"),
+            ('{"n": 4, "edges": [[0, true], [1, 2]]}', "edges[0]"),
             ('{"n": 2, "edges": [], "pairs": [[0, 0]]}', "bad pair list"),
+            ('{"n": 3, "edges": [], "pairs": [[-1, 2]]}', "bad pair list"),
             ('{"n": 2, "edges": [], "pairs": [3]}', "pairs[0]"),
+            ('{"n": 3, "edges": [], "pairs": [[false, 2]]}', "pairs[0]"),
             ('{"n": 2, "edges": [], "coloring": [1]}', "2 vertices"),
             ('{"n": 2, "edges": [], "coloring": [1, "x"]}', "list of integers"),
             ('{"n": 2, "edges": [], "coloring": [1, 5], "k": 2}', "bad coloring"),

@@ -1,8 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_exists_rainbow_path, oracle_internal_sets
+from oracles import (
+    oracle_exists_rainbow_path,
+    oracle_internal_sets,
+    oracle_is_rainbow,
+    oracle_simple_paths,
+)
 from strategies import colored_graphs_st
 
 from rvckit.families import complete_graph, cycle_graph, path_graph, star_graph
@@ -204,3 +209,36 @@ def test_expansion_counter_respects_budget(gc):
             exists_rainbow_path(g, c, u, v)
             assert search_stats.max_expansions <= budget
             assert search_stats.violations == 0
+
+
+# Vertex 2 is first reached as 0-1-2, whose color set blocks the only way on
+# (vertices 1 and 5 share a color); the later 0-3-4-2 is a different set, not
+# a superset, so it must still be expanded to reach 6.
+REENTRY = (
+    graph_from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4), (2, 5), (5, 6)]),
+    coloring([1, 1, 2, 3, 4, 1, 1], k=4),
+)
+
+
+@given(colored_graphs_st(max_n=7, max_k=4))
+@example(REENTRY)
+@settings(max_examples=200, deadline=None)
+def test_witness_is_least_shortest_rainbow_path(gc):
+    g, c = gc
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            rainbow = [p for p in oracle_simple_paths(g, u, v) if oracle_is_rainbow(c.colors, p)]
+            want = min(rainbow, key=lambda p: (len(p), p)) if rainbow else None
+            got = exists_rainbow_path(g, c, u, v)
+            assert (None if got is None else got.vertices) == want
+
+
+@given(colored_graphs_st(max_n=7, max_k=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verifiers_match_oracle(gc, data):
+    g, c = gc
+    universe = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    chosen = data.draw(st.lists(st.sampled_from(universe), unique=True))
+    served = {q for q in universe if oracle_exists_rainbow_path(g, c, *q)}
+    assert is_subset_rainbow_vc(g, c, pair_set(chosen)) == served.issuperset(chosen)
+    assert is_rainbow_vertex_connected(g, c) == (served == set(universe))
