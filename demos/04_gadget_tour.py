@@ -7,6 +7,7 @@ rungs of split vertices stack below it, level by level, and detours keep
 requested base pairs far apart while every other base pair gets a shortcut.
 """
 
+import tempfile
 from pathlib import Path
 
 from rvckit import (
@@ -52,8 +53,9 @@ ck = lift_coloring(p3, p, 2, res.witness, gadget=gg)
 print("\nlift rainbow-connects the gadget:", is_rainbow_vertex_connected(gg.graph, ck))
 print("projected back:", list(project_coloring(gg, ck).colors))
 
-# Files for inspection: the JSON instance and a Graphviz rendering.
-out = Path("gadget_p3_k2.json")
-out.write_text(emit_gadget(gg))
-Path("gadget_p3_k2.dot").write_text(emit_dot(gg))
-print(f"\nwrote {out} and gadget_p3_k2.dot (render with: dot -Tsvg)")
+# Files for inspection: the JSON instance and a Graphviz rendering, written
+# to a fresh temporary directory so the tour leaves no files behind.
+out_dir = Path(tempfile.mkdtemp(prefix="rvckit-gadget-"))
+(out_dir / "gadget_p3_k2.json").write_text(emit_gadget(gg))
+(out_dir / "gadget_p3_k2.dot").write_text(emit_dot(gg))
+print(f"\nwrote gadget_p3_k2.json and gadget_p3_k2.dot to {out_dir} (render with: dot -Tsvg)")

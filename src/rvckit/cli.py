@@ -20,6 +20,7 @@ from .graphs import Graph, PairSet, VertexColoring, graph_from_edges
 from .harness import SUITE_NAMES, run_suite
 from .io import (
     InstanceFormatError,
+    _parse_coloring,
     _parse_pairs,
     emit_dot,
     emit_gadget,
@@ -66,23 +67,12 @@ def _pairs_arg(value: str, g: Graph) -> PairSet:
 
 def _coloring_arg(value: str, g: Graph) -> VertexColoring:
     obj = _inline_or_file(value)
-    declared = None
-    if isinstance(obj, dict):
-        declared = obj.get("k")
-        obj = obj.get("coloring")
-    if not isinstance(obj, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in obj
-    ):
+    if not isinstance(obj, dict):
+        obj = {"coloring": obj}
+    col = _parse_coloring(obj, g)
+    if col is None:
         raise InstanceFormatError("--coloring must supply a list of integers")
-    if len(obj) != g.n:
-        raise InstanceFormatError(
-            f"coloring has {len(obj)} entries, graph has {g.n} vertices"
-        )
-    k = declared if isinstance(declared, int) else max(obj, default=1)
-    try:
-        return VertexColoring(tuple(obj), k)
-    except ValueError as e:
-        raise InstanceFormatError(f"bad coloring: {e}") from None
+    return col
 
 
 def _coloring_line(witness: VertexColoring | None) -> str:
@@ -224,7 +214,11 @@ def _cmd_reduce_lemma1(args) -> int:
 
 
 def _cmd_claims(args) -> int:
-    reports = run_suite(args.suite, cap=args.cap, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # More workers than CPUs only adds processes; never start more.
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    reports = run_suite(args.suite, cap=args.cap, jobs=jobs)
     for r in reports:
         line = f"{r.status.upper():<5} {r.check:<19} {r.instance}"
         if r.detail:
@@ -322,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("claims", help="run a sweep of construction checks")
     p.add_argument("--suite", choices=SUITE_NAMES, default="core")
     p.add_argument("--cap", type=int, default=18, help="skip exhaustive gadget search above this size")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="parallel worker processes, at most one per CPU"
+    )
     p.add_argument("-o", "--out", help="also write the reports as JSON here")
     p.set_defaults(func=_cmd_claims)
 

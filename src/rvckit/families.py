@@ -1,19 +1,21 @@
 """Small graph families: named constructors and exhaustive enumeration.
 
-Enumeration of connected graphs up to isomorphism leans on the networkx
-graph atlas, which lists every graph on at most seven vertices exactly once
-per isomorphism class in a fixed order.
+Enumeration of connected graphs up to isomorphism reads the graph atlas
+data file that ships with networkx (``networkx.generators.atlas.ATLAS_FILE``).
+It lists every graph on at most seven vertices exactly once per isomorphism
+class, sorted by vertex count; networkx supplies only that file, and the
+graphs are built and tested for connectivity here.
 """
 
 from __future__ import annotations
 
+import gzip
 from itertools import combinations
 from typing import Iterator
 
-import networkx as nx
-from networkx.generators.atlas import graph_atlas_g
+from networkx.generators.atlas import ATLAS_FILE
 
-from .graphs import Graph, PairSet, graph_from_edges, pair_set
+from .graphs import Graph, PairSet, graph_from_edges, is_connected, pair_set
 
 
 def path_graph(n: int) -> Graph:
@@ -42,22 +44,41 @@ def connected_graphs_of_order(n: int) -> list:
     """Connected graphs on exactly n vertices, one per isomorphism class."""
     if not 1 <= n <= _ATLAS_LIMIT:
         raise ValueError(f"atlas enumeration covers 1..{_ATLAS_LIMIT} vertices")
-    out = []
-    for ag in graph_atlas_g():
-        if ag.number_of_nodes() != n:
-            continue
-        if n > 1 and not nx.is_connected(ag):
-            continue
-        out.append(graph_from_edges(n, ag.edges()))
-    return out
+    return [g for g in connected_graphs(n) if g.n == n]
+
+
+def _atlas_entries(max_n: int) -> Iterator[tuple]:
+    """(n, edges) for each atlas graph on 1..max_n vertices, in atlas order.
+
+    An entry is a "GRAPH i" line, a "NODES n" line and one "u v" line per
+    edge.  The file is sorted by n, so reading stops at the first larger graph.
+    n stays 0 before the first entry and for the atlas's null graph, which
+    is skipped.
+    """
+    n, edges = 0, []
+    with gzip.open(ATLAS_FILE, "rt") as fh:
+        for line in fh:
+            if line.startswith("GRAPH"):
+                if n:
+                    yield n, edges
+                n, edges = 0, []
+            elif line.startswith("NODES"):
+                n = int(line[6:])
+                if n > max_n:
+                    return
+            else:
+                u, v = line.split()
+                edges.append((int(u), int(v)))
+    if n:
+        yield n, edges
 
 
 def connected_graphs(max_n: int) -> list:
     """Connected graphs on 1..max_n vertices, one per isomorphism class."""
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(connected_graphs_of_order(n))
-    return out
+    if max_n > _ATLAS_LIMIT:
+        raise ValueError(f"atlas enumeration covers 1..{_ATLAS_LIMIT} vertices")
+    graphs = (graph_from_edges(n, edges) for n, edges in _atlas_entries(max_n))
+    return [g for g in graphs if is_connected(g)]
 
 
 def all_pair_sets(g: Graph) -> Iterator[PairSet]:

@@ -42,7 +42,9 @@ class Graph:
         adj = [[] for _ in range(self.n)]
         for e in self.edges:
             u, v = e
-            if not (0 <= u < v < self.n):
+            # type() rather than isinstance(): bool is an int subclass, and
+            # True would silently alias vertex 1.
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < self.n:
                 raise ValueError(f"edge {e} is not a normalized in-range pair")
             adj[u].append(v)
             adj[v].append(u)
@@ -78,6 +80,8 @@ def graph_from_edges(n: int, edges: Iterable) -> Graph:
     norm = set()
     for e in edges:
         u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
         if not (0 <= u < n) or not (0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         norm.add(normalize_pair(u, v))

@@ -271,12 +271,12 @@ def run_check(check: str, g: Graph, p: PairSet | None, k: int, cap: int = 18) ->
     raise ValueError(f"unknown check {check!r}; expected one of {', '.join(_CHECKS)}")
 
 
-def run_sweep(instances, checks, cap: int = 18, jobs: int = 1) -> list:
-    """Run the named checks over (g, p, k) instances; reports come back sorted."""
-    for check in checks:
-        if check not in _CHECKS:
-            raise ValueError(f"unknown check {check!r}; expected one of {', '.join(_CHECKS)}")
-    work = [(check, g, p, k, cap) for g, p, k in instances for check in checks]
+def _run_work(work, jobs: int) -> list:
+    """Run (check, g, p, k, cap) items, over a process pool when jobs > 1.
+
+    The serial path looks ``run_check`` up in this module on every item, so
+    a wrapper installed on the module attribute sees each check.
+    """
     if jobs > 1:
         from multiprocessing import Pool
 
@@ -285,6 +285,14 @@ def run_sweep(instances, checks, cap: int = 18, jobs: int = 1) -> list:
     else:
         reports = [run_check(*item) for item in work]
     return sorted(reports, key=lambda r: (r.check, r.instance, r.status))
+
+
+def run_sweep(instances, checks, cap: int = 18, jobs: int = 1) -> list:
+    """Run the named checks over (g, p, k) instances; reports come back sorted."""
+    for check in checks:
+        if check not in _CHECKS:
+            raise ValueError(f"unknown check {check!r}; expected one of {', '.join(_CHECKS)}")
+    return _run_work([(check, g, p, k, cap) for g, p, k in instances for check in checks], jobs)
 
 
 def gadget_sweep_instances(max_n: int, ks) -> list:
@@ -315,11 +323,29 @@ def pendant_sweep_instances(max_n: int, k: int = 3) -> list:
     return [(g, None, k) for g in connected_graphs(max_n)]
 
 
+def _gadget_jobs(max_n: int, lift_max_k: int) -> list:
+    """Distance, confinement and lift checks over the gadget sweep at levels 2..5.
+
+    Each instance's checks sit back to back, so the gadget the first one
+    builds is still in the cache for the rest.  Confinement runs at k <= 3
+    and lift-validity at k <= lift_max_k.
+    """
+    jobs = []
+    for g, p, k in gadget_sweep_instances(max_n, (2, 3, 4, 5)):
+        jobs += [("pair-distance", g, p, k), ("nonpair-distance", g, p, k)]
+        if k <= 3:
+            jobs.append(("confinement", g, p, k))
+        if k <= lift_max_k:
+            jobs.append(("lift-validity", g, p, k))
+    return jobs
+
+
 def suite_jobs(name: str, cap: int = 18) -> list:
     """Instances and checks for a named sweep suite.
 
     Returns (check, g, p, k) tuples.  "core" is a fast smoke pass; "full" is
-    the complete sweep the acceptance tests run.
+    the complete sweep the acceptance tests run: the distances, confinement,
+    lift, equivalence and pendant suites combined.
     """
     def expand(instances, checks):
         return [(check, g, p, k) for g, p, k in instances for check in checks]
@@ -335,21 +361,17 @@ def suite_jobs(name: str, cap: int = 18) -> list:
     if name == "pendant":
         return expand(pendant_sweep_instances(5), ("pendant-equivalence",))
     if name == "core":
-        jobs = expand(
-            gadget_sweep_instances(3, (2, 3, 4, 5)),
-            ("pair-distance", "nonpair-distance"),
+        return (
+            _gadget_jobs(3, lift_max_k=3)
+            + suite_jobs("equivalence", cap)
+            + expand(pendant_sweep_instances(4), ("pendant-equivalence",))
         )
-        jobs += expand(gadget_sweep_instances(3, (2, 3)), ("confinement", "lift-validity"))
-        jobs += expand(equivalence_fixture_instances(), ("equivalence",))
-        jobs += expand(pendant_sweep_instances(4), ("pendant-equivalence",))
-        return jobs
     if name == "full":
-        jobs = suite_jobs("distances", cap)
-        jobs += suite_jobs("confinement", cap)
-        jobs += suite_jobs("lift", cap)
-        jobs += suite_jobs("equivalence", cap)
-        jobs += suite_jobs("pendant", cap)
-        return jobs
+        return (
+            _gadget_jobs(4, lift_max_k=5)
+            + suite_jobs("equivalence", cap)
+            + suite_jobs("pendant", cap)
+        )
     raise ValueError(f"unknown suite {name!r}")
 
 
@@ -358,12 +380,4 @@ SUITE_NAMES = ("core", "full", "distances", "confinement", "lift", "equivalence"
 
 def run_suite(name: str, cap: int = 18, jobs: int = 1) -> list:
     """Run a named suite and return its sorted reports."""
-    work = [(check, g, p, k, cap) for check, g, p, k in suite_jobs(name, cap)]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            reports = pool.starmap(run_check, work, chunksize=16)
-    else:
-        reports = [run_check(*item) for item in work]
-    return sorted(reports, key=lambda r: (r.check, r.instance, r.status))
+    return _run_work([(check, g, p, k, cap) for check, g, p, k in suite_jobs(name, cap)], jobs)

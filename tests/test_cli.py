@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from rvckit.cli import cli_main
+from rvckit.cli import _coloring_arg, cli_main
+from rvckit.families import path_graph
 from rvckit.io import parse_gadget, parse_instance
 
 P5 = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}\n'
@@ -112,6 +113,17 @@ class TestVerify:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ['"x"', "0", "true"])
+    def test_invalid_declared_k_is_usage_error(self, p3_file, k, capsys):
+        coloring = '{"coloring": [1, 1, 1], "k": %s}' % k
+        assert cli_main(["verify", "-i", p3_file, "--coloring", coloring]) == 2
+        assert "field 'k'" in capsys.readouterr().err
+
+    def test_coloring_arg_keeps_a_declared_k(self):
+        g = path_graph(3)
+        assert _coloring_arg('{"coloring": [1, 2, 1], "k": 3}', g).k == 3
+        assert _coloring_arg("[1, 2, 1]", g).k == 2
+
     def test_boolean_vertex_id_in_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text('{"n": 4, "edges": [[0, true], [1, 2], [2, 3]], "coloring": [1, 1, 1, 1]}')
@@ -193,6 +205,26 @@ class TestClaims:
 
     def test_parallel_smoke(self, capsys):
         assert cli_main(["claims", "--suite", "equivalence", "--jobs", "2"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs, capsys):
+        assert cli_main(["claims", "--suite", "equivalence", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_is_clamped_to_the_cpu_count(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_run_suite(name, cap=18, jobs=1):
+            seen.append(jobs)
+            return []
+
+        # The fake returns no reports, so no worker is ever started.
+        monkeypatch.setattr("rvckit.cli.run_suite", fake_run_suite)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert cli_main(["claims", "--jobs", "100000"]) == 0
+        assert cli_main(["claims", "--jobs", "1"]) == 0
+        assert seen == [2, 1]
         capsys.readouterr()
 
     def test_unknown_suite_is_usage_error(self, capsys):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from rvckit.families import (
@@ -9,7 +10,7 @@ from rvckit.families import (
     path_graph,
     star_graph,
 )
-from rvckit.graphs import is_connected
+from rvckit.graphs import graph_from_edges, is_connected
 
 
 class TestNamedFamilies:
@@ -63,6 +64,22 @@ class TestEnumerations:
             connected_graphs_of_order(0)
         with pytest.raises(ValueError):
             connected_graphs_of_order(8)
+
+    @pytest.mark.parametrize("max_n", range(1, 8))
+    def test_matches_the_networkx_atlas(self, max_n):
+        # Same graphs, same order, edge for edge, as networkx's own reader.
+        want = [
+            graph_from_edges(ag.number_of_nodes(), ag.edges())
+            for ag in nx.graph_atlas_g()
+            if 1 <= ag.number_of_nodes() <= max_n
+            and (ag.number_of_nodes() == 1 or nx.is_connected(ag))
+        ]
+        got = connected_graphs(max_n)
+        assert [(g.n, g.edges) for g in got] == [(g.n, g.edges) for g in want]
+
+    def test_connected_graphs_rejects_orders_beyond_the_atlas(self):
+        with pytest.raises(ValueError):
+            connected_graphs(8)
 
     def test_connected_graphs_flattens(self):
         assert len(connected_graphs(4)) == 1 + 1 + 2 + 6

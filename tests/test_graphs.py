@@ -49,6 +49,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, frozenset({(2, 1)}))
 
+    @pytest.mark.parametrize("edge", [(0, True), (False, 2), (0, 1.0)])
+    def test_from_edges_rejects_non_int_ids(self, edge):
+        # True == 1, so (0, True) would otherwise alias the edge (0, 1).
+        with pytest.raises(ValueError):
+            graph_from_edges(4, [edge, (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("edge", [(0, True), (False, 2)])
+    def test_direct_construction_rejects_boolean_ids(self, edge):
+        with pytest.raises(ValueError):
+            Graph(4, frozenset({edge, (2, 3)}))
+
     def test_neighbors_sorted(self):
         g = graph_from_edges(4, [(0, 3), (0, 1), (0, 2)])
         assert g.neighbors(0) == (1, 2, 3)

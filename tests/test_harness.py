@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from rvckit import harness
 from rvckit.families import complete_graph, cycle_graph, path_graph
 from rvckit.gadgets import build_gadget
 from rvckit.graphs import all_vertex_pairs, pair_set
@@ -128,6 +131,39 @@ class TestSweeps:
             assert len(suite_jobs(name)) > 0
         with pytest.raises(ValueError):
             suite_jobs("bogus")
+
+    def test_full_suite_combines_the_five_suites(self):
+        parts = ("distances", "confinement", "lift", "equivalence", "pendant")
+        want = Counter(job for name in parts for job in suite_jobs(name))
+        assert Counter(suite_jobs("full")) == want
+
+    @pytest.mark.parametrize("name", ["core", "full"])
+    def test_each_gadget_instance_has_its_checks_back_to_back(self, name):
+        runs = []
+        for check, g, p, k in suite_jobs(name):
+            if check in ("equivalence", "pendant-equivalence"):
+                continue
+            if not runs or runs[-1] != (g, p, k):
+                runs.append((g, p, k))
+        assert len(runs) == len(set(runs))
+
+    def test_core_suite_builds_each_gadget_once(self, monkeypatch):
+        calls = Counter()
+        inner = harness.build_gadget
+
+        def counting_build(g, p, k):
+            calls[(g, p, k)] += 1
+            return inner(g, p, k)
+
+        monkeypatch.setattr(harness, "build_gadget", counting_build)
+        harness._cached_gadget.cache_clear()
+        try:
+            run_suite("core")
+        finally:
+            harness._cached_gadget.cache_clear()
+        distinct = {(g, p, k) for check, g, p, k in suite_jobs("core") if check != "pendant-equivalence"}
+        assert set(calls) == distinct
+        assert set(calls.values()) == {1}
 
     def test_core_suite_is_green(self):
         reports = run_suite("core")
