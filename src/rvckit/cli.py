@@ -216,6 +216,10 @@ def _cmd_reduce_lemma1(args) -> int:
 def _cmd_claims(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.cap < 1:
+        # A cap below 1 skips every exhaustive check, so the sweep would
+        # report success without having checked anything.
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     # More workers than CPUs only adds processes; never start more.
     jobs = min(args.jobs, os.cpu_count() or 1)
     reports = run_suite(args.suite, cap=args.cap, jobs=jobs)

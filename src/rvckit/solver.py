@@ -5,13 +5,24 @@ assigned by descending degree (ties by index), the first vertex is pinned to
 color 1, and a color new to the partial assignment must be the smallest
 unused index.  Every coloring has exactly one canonical renaming, and rainbow
 connectivity is invariant under renaming, so the restriction loses nothing.
+The same walk, written as a loop so that its depth is not bounded by Python's
+recursion limit, drives ``chromatic_decision`` with a proper-coloring test in
+place of the path constraints.
 
-Pruning works off candidate paths.  For each requested pair the solver
-precomputes all simple paths of length at most k+1 (only such paths can be
-rainbow under k colors) and keeps just the inclusion-minimal internal vertex
-sets: if one set is rainbow, so is any subset of it.  A pair whose candidate
-sets are all color-blocked by the partial assignment can never be satisfied,
-and the branch is abandoned.
+Pruning works off candidate paths.  Under k colors only a path of length at
+most k+1 can be rainbow, and if one internal vertex set is rainbow, so is any
+subset of it, so each requested pair needs just its inclusion-minimal
+internal sets among those paths.  These are exactly the internal sets of the
+induced (chordless) paths of length at most k+1.  A path with a chord, even
+one at an endpoint, has a shortcut: shorter, so still within the cap, and
+with a strictly smaller internal set.  On an induced path's vertex set the
+graph is that path alone, so no other path's internal set lies inside it, and
+no two induced paths share one.  The solver therefore enumerates induced paths
+directly, with no minimality filter.  Each candidate set is a vertex bitmask,
+and the search keeps one bitmask per color of the vertices holding it, so a
+set is color-blocked when it meets the mask of the color just placed.  A pair
+whose candidate sets are all blocked by the partial assignment can never be
+satisfied, and the branch is abandoned.
 
 Yes-answers are never trusted from search state: the witness coloring is
 re-verified with the independent rainbow checker before it is returned.
@@ -29,7 +40,6 @@ from .graphs import (
     diameter,
     is_complete,
     is_connected,
-    simple_paths,
 )
 from .rainbow import is_subset_rainbow_vc
 
@@ -53,14 +63,119 @@ def _assignment_order(g: Graph) -> list:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _minimal_sets(sets: set) -> list:
-    """Drop every set that contains another candidate set."""
-    by_size = sorted(sets, key=len)
-    kept: list = []
-    for s in by_size:
-        if not any(m <= s for m in kept):
-            kept.append(s)
-    return kept
+def _canonical_search(order: list, k: int, place, undo):
+    """Return the first canonical coloring that place accepts, and the nodes tried.
+
+    ``place(v, col)`` applies an assignment and returns an undo token, or None
+    to reject it; ``undo(v, col, token)`` reverts an accepted one.  Colors are
+    tried in ascending order, and a color new to the branch must be the
+    smallest unused one.  The walk is iterative, so its depth is not bounded
+    by Python's recursion limit.  The coloring is indexed by vertex, or None.
+    """
+    n = len(order)
+    chosen: list = []  # color per assigned position
+    tokens: list = []
+    # tops[i]: the largest color position i may take.  A color new to the
+    # branch is the smallest unused one, so the top grows by one past a
+    # position that took its own top.
+    tops = [1]
+    top = 1
+    pos = col = nodes = 0  # col: the last color tried at pos
+    while pos < n:
+        if col < top:
+            col += 1
+            nodes += 1
+            token = place(order[pos], col)
+            if token is not None:
+                chosen.append(col)
+                tokens.append(token)
+                if col == top < k:
+                    top += 1
+                tops.append(top)
+                pos += 1
+                col = 0
+        elif pos == 0:
+            return None, nodes
+        else:
+            tops.pop()
+            pos -= 1
+            top = tops[pos]
+            col = chosen.pop()
+            undo(order[pos], col, tokens.pop())
+    colors = [0] * n
+    for v, c in zip(order, chosen):
+        colors[v] = c
+    return colors, nodes
+
+
+def _distances_within(g: Graph, b: int, cap: int) -> list:
+    """BFS distance to b for every vertex within cap of it, None for the rest."""
+    dist: list = [None] * g.n
+    dist[b] = 0
+    frontier = [b]
+    for d in range(1, cap + 1):
+        nxt = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                if dist[y] is None:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _induced_path_sets(g: Graph, adj: list, dist: list, a: int, b: int, max_len: int) -> list:
+    """Internal-vertex bitmasks of the induced a-b paths with at most max_len edges.
+
+    ``adj[v]`` is the neighbourhood bitmask of v.  The walk carries ``banned``,
+    the closed neighbourhoods of every path vertex but the last, and extends
+    only outside it, so no path gets a chord.  Once the last vertex touches
+    b, the path must end there.  Partial paths that cannot reach b within the
+    budget are cut using ``dist``, the exact distances to b.
+    """
+    if dist[a] is None:
+        return []
+    out = []
+    bit_b = 1 << b
+    stack = [(a, 0, 0, 0)]  # (last vertex, banned, internal set, edges used)
+    while stack:
+        here, banned, inner, used = stack.pop()
+        if adj[here] & bit_b:
+            out.append(inner)
+            continue
+        reach = used + 1
+        banned_next = banned | adj[here] | (1 << here)
+        for y in g.neighbors(here):
+            d = dist[y]
+            if d is not None and reach + d <= max_len and not banned >> y & 1:
+                stack.append((y, banned_next, inner | (1 << y), reach))
+    return out
+
+
+def _bits(mask: int) -> list:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _adjacency_masks(g: Graph) -> list:
+    return [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
+
+
+def _candidate_sets(g: Graph, p: PairSet, max_len: int):
+    """Yield, per non-adjacent pair of p, its induced-path internal sets as bitmasks."""
+    adj = _adjacency_masks(g)
+    dist_to: dict = {}  # BFS distances per target, shared by the pairs ending there
+    for a, b in p:
+        if g.has_edge(a, b):
+            continue
+        if b not in dist_to:
+            dist_to[b] = _distances_within(g, b, max_len)
+        yield _induced_path_sets(g, adj, dist_to[b], a, b, max_len)
 
 
 def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
@@ -71,75 +186,54 @@ def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
         raise ValueError("subset rainbow decisions need a connected graph")
     p.check_in_range(g)
 
-    # Candidate internal-vertex sets per pair.  Pairs with a path of at most
-    # one internal vertex are satisfied under every coloring and drop out.
+    # Pairs with a path of at most one internal vertex are satisfied under
+    # every coloring and drop out.
     constraints = []
-    for a, b in p:
-        if g.has_edge(a, b):
-            continue
-        sets = {frozenset(path[1:-1]) for path in simple_paths(g, a, b, k + 1)}
+    for sets in _candidate_sets(g, p, k + 1):
         if not sets:
             return SolveResult(False, None, 0)
-        minimal = _minimal_sets(sets)
-        if len(minimal[0]) <= 1:
-            continue
-        constraints.append((a, b, tuple(tuple(sorted(s)) for s in minimal)))
+        if min(s.bit_count() for s in sets) > 1:
+            constraints.append(sets)
 
-    order = _assignment_order(g)
-    colors = [0] * g.n
-
-    # blocked/alive bookkeeping per constraint, plus vertex -> candidate index.
-    blocked = [[False] * len(sets) for _, _, sets in constraints]
-    alive = [len(sets) for _, _, sets in constraints]
+    # blocked flag per candidate set, alive count per constraint, and
+    # vertex -> (constraint, set index, set) for the sets through it.
+    blocked = []
+    alive = [len(sets) for sets in constraints]
     touching: list = [[] for _ in range(g.n)]
-    for ci, (_, _, sets) in enumerate(constraints):
-        for si, s in enumerate(sets):
-            for v in s:
-                touching[v].append((ci, si, s))
-
-    nodes = 0
+    for ci, sets in enumerate(constraints):
+        for s in sets:
+            for v in _bits(s):
+                touching[v].append((ci, len(blocked), s))
+            blocked.append(False)
+    # masks[col]: the vertices that currently hold color col.
+    masks = [0] * (k + 1)
 
     def place(v: int, col: int):
         """Apply the assignment; returns an undo journal or None on a dead pair."""
         journal = []
-        colors[v] = col
+        taken = masks[col]
         for ci, si, s in touching[v]:
-            if blocked[ci][si]:
+            if blocked[si] or not s & taken:
                 continue
-            if any(colors[x] == col for x in s if x != v):
-                blocked[ci][si] = True
-                alive[ci] -= 1
-                journal.append((ci, si))
-                if alive[ci] == 0:
-                    _undo(v, journal)
-                    return None
+            blocked[si] = True
+            alive[ci] -= 1
+            journal.append((ci, si))
+            if alive[ci] == 0:
+                undo(v, col, journal)
+                return None
+        masks[col] = taken | (1 << v)
         return journal
 
-    def _undo(v: int, journal) -> None:
-        colors[v] = 0
+    def undo(v: int, col: int, journal) -> None:
+        masks[col] &= ~(1 << v)
         for ci, si in journal:
-            blocked[ci][si] = False
+            blocked[si] = False
             alive[ci] += 1
 
-    def search(pos: int, used: int):
-        nonlocal nodes
-        if pos == g.n:
-            return VertexColoring(tuple(colors), k)
-        v = order[pos]
-        for col in range(1, min(used + 1, k) + 1):
-            nodes += 1
-            journal = place(v, col)
-            if journal is None:
-                continue
-            result = search(pos + 1, max(used, col))
-            if result is not None:
-                return result
-            _undo(v, journal)
-        return None
-
-    witness = search(0, 0)
-    if witness is None:
+    colors, nodes = _canonical_search(_assignment_order(g), k, place, undo)
+    if colors is None:
         return SolveResult(False, None, nodes)
+    witness = VertexColoring(tuple(colors), k)
     if not is_subset_rainbow_vc(g, witness, p):
         raise RuntimeError("solver produced a witness the independent checker rejects")
     return SolveResult(True, witness, nodes)
@@ -182,29 +276,22 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     """Decide whether g has a proper k-coloring, with the same canonical search."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    order = _assignment_order(g)
-    colors = [0] * g.n
-    nodes = 0
+    adj = _adjacency_masks(g)
+    masks = [0] * (k + 1)
 
-    def search(pos: int, used: int):
-        nonlocal nodes
-        if pos == g.n:
-            return VertexColoring(tuple(colors), k)
-        v = order[pos]
-        for col in range(1, min(used + 1, k) + 1):
-            nodes += 1
-            if any(colors[w] == col for w in g.neighbors(v)):
-                continue
-            colors[v] = col
-            result = search(pos + 1, max(used, col))
-            if result is not None:
-                return result
-            colors[v] = 0
-        return None
+    def place(v: int, col: int):
+        if adj[v] & masks[col]:
+            return None
+        masks[col] |= 1 << v
+        return True
 
-    witness = search(0, 0)
-    if witness is None:
+    def undo(v: int, col: int, _token) -> None:
+        masks[col] &= ~(1 << v)
+
+    colors, nodes = _canonical_search(_assignment_order(g), k, place, undo)
+    if colors is None:
         return SolveResult(False, None, nodes)
+    witness = VertexColoring(tuple(colors), k)
     for u, v in g.edges:
         if witness.colors[u] == witness.colors[v]:
             raise RuntimeError("proper-coloring search returned an improper coloring")

@@ -212,6 +212,11 @@ class TestClaims:
         assert cli_main(["claims", "--suite", "equivalence", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_usage_error(self, cap, capsys):
+        assert cli_main(["claims", "--suite", "equivalence", "--cap", cap]) == 2
+        assert "--cap" in capsys.readouterr().err
+
     def test_jobs_is_clamped_to_the_cpu_count(self, monkeypatch, capsys):
         seen = []
 

@@ -1,24 +1,31 @@
+import hashlib
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     oracle_chromatic_le,
     oracle_exists_rainbow_path,
     oracle_rvc,
+    oracle_simple_paths,
     oracle_subset_yes,
 )
-from strategies import graphs_with_pairs_st
+from strategies import connected_graphs_st, graphs_with_pairs_st
 
 from rvckit.families import (
     complete_graph,
+    connected_graphs,
     connected_graphs_of_order,
     cycle_graph,
     path_graph,
     star_graph,
 )
 from rvckit.graphs import all_vertex_pairs, graph_from_edges, pair_set
+from rvckit.rainbow import is_subset_rainbow_vc
 from rvckit.solver import (
+    _candidate_sets,
     chromatic_decision,
     decide_rvc_le_k,
     decide_subset_rvc,
@@ -66,6 +73,17 @@ class TestSubsetDecision:
         assert res.decision
         for a, b in p:
             assert oracle_exists_rainbow_path(g, res.witness, a, b)
+
+    def test_path_longer_than_the_recursion_limit(self):
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        g = path_graph(n)
+        p = pair_set([(0, n - 1)])
+        res = decide_subset_rvc(g, p, n - 2)
+        assert res.decision
+        # The only 0 - (n-1) path uses every internal vertex.
+        assert len(set(res.witness.colors[1:-1])) == n - 2
+        assert is_subset_rainbow_vc(g, res.witness, p)
 
     def test_deterministic_witness(self):
         g = cycle_graph(6)
@@ -119,6 +137,13 @@ class TestChromaticDecision:
         assert chromatic_decision(cycle_graph(5), 3).decision
         assert chromatic_decision(path_graph(6), 2).decision
 
+    def test_path_longer_than_the_recursion_limit(self):
+        g = path_graph(1200)
+        assert g.n > sys.getrecursionlimit()
+        res = chromatic_decision(g, 2)
+        assert res.decision
+        assert all(res.witness.colors[a] != res.witness.colors[b] for a, b in g.edges)
+
     def test_witness_is_proper(self):
         g = cycle_graph(5)
         res = chromatic_decision(g, 3)
@@ -155,3 +180,32 @@ def test_dropping_pairs_never_hurts(gp, k, data):
     sub = pair_set(kept)
     if decide_subset_rvc(g, p, k).decision:
         assert decide_subset_rvc(g, sub, k).decision
+
+
+def test_search_is_pinned_on_the_small_catalog():
+    # Decision, node count and witness of rvc <= k for k = 1..3 on every
+    # connected graph with n <= 6 (429 decisions), recorded before the
+    # candidate sets came from induced paths and colors from bitmasks.
+    digest = hashlib.sha256()
+    for g in connected_graphs(6):
+        for k in (1, 2, 3):
+            r = decide_rvc_le_k(g, k)
+            digest.update(repr((r.decision, r.nodes_explored, r.witness and r.witness.colors)).encode())
+    assert digest.hexdigest() == "d39c5a905209f22eb1456e58394e3c713662a9980af086a1c1b629537f4b7a9d"
+
+
+def _minimal_internal_sets(g, a, b, cap):
+    sets = {frozenset(path[1:-1]) for path in oracle_simple_paths(g, a, b) if len(path) - 1 <= cap}
+    return {s for s in sets if not any(t < s for t in sets)}
+
+
+@given(connected_graphs_st(min_n=3, max_n=7), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_candidate_sets_are_the_minimal_internal_sets(g, cap, data):
+    far = [(a, b) for a, b in all_vertex_pairs(g) if not g.has_edge(a, b)]
+    assume(far)
+    a, b = data.draw(st.sampled_from(far))
+    (sets,) = _candidate_sets(g, pair_set([(a, b)]), cap)
+    got = [frozenset(v for v in g.vertices() if s >> v & 1) for s in sets]
+    assert len(got) == len(set(got))
+    assert set(got) == _minimal_internal_sets(g, a, b, cap)
