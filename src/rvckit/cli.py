@@ -29,7 +29,7 @@ from .io import (
     parse_gadget,
     parse_instance,
 )
-from .rainbow import is_rainbow_vertex_connected, is_subset_rainbow_vc
+from .rainbow import first_unserved_pair
 from .solver import decide_rvc_le_k, decide_subset_rvc, rvc_exact
 
 
@@ -142,10 +142,7 @@ def _cmd_verify(args) -> int:
         col = _coloring_arg(args.coloring, g)
     if col is None:
         raise InstanceFormatError("no coloring: give 'coloring' in the file or --coloring")
-    if pairs is None:
-        ok = is_rainbow_vertex_connected(g, col)
-    else:
-        ok = is_subset_rainbow_vc(g, col, pairs)
+    ok = first_unserved_pair(g, col, pairs) is None
     print("yes" if ok else "no")
     return _decision_exit(ok, args)
 

@@ -44,7 +44,7 @@ from .graphs import (
     normalize_pair,
     pair_set,
 )
-from .rainbow import exists_rainbow_path
+from .rainbow import first_unserved_pair
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,9 @@ def pendant_project(inst: PendantInstance, cprime: VertexColoring) -> VertexColo
     pair is reported otherwise.  Those pairs force both pendant owners as
     internal vertices, so the restriction is proper on the source graph.
     """
-    check_total_coloring(inst.graph, cprime)
-    for a, b in inst.pairs:
-        if exists_rainbow_path(inst.graph, cprime, a, b) is None:
-            raise ValueError(f"pair ({a}, {b}) has no rainbow path under this coloring")
+    unserved = first_unserved_pair(inst.graph, cprime, inst.pairs)
+    if unserved is not None:
+        raise ValueError(f"pair {unserved} has no rainbow path under this coloring")
     return VertexColoring(cprime.colors[: inst.source_n], cprime.k)
 
 

@@ -276,26 +276,26 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
                 dist_to_v[y] = dist_to_v[x] + 1
                 frontier.append(y)
 
+    if dist_to_v[u] is None or dist_to_v[u] > max_len:
+        return
+    # stack[i] iterates the neighbors of path[i] not yet tried.
     path = [u]
     on_path = {u}
-
-    def walk() -> Iterator[tuple]:
-        here = path[-1]
-        used = len(path) - 1
-        for y in g.neighbors(here):
-            if y == v:
-                yield tuple(path) + (v,)
-                continue
-            if y in on_path:
-                continue
-            d = dist_to_v[y]
-            if d is None or used + 1 + d > max_len:
-                continue
-            path.append(y)
-            on_path.add(y)
-            yield from walk()
-            path.pop()
-            on_path.remove(y)
-
-    if dist_to_v[u] is not None and dist_to_v[u] <= max_len:
-        yield from walk()
+    stack = [iter(g.neighbors(u))]
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            on_path.discard(path.pop())
+            continue
+        if y == v:
+            yield tuple(path) + (v,)
+            continue
+        if y in on_path:
+            continue
+        d = dist_to_v[y]
+        if d is None or len(path) + d > max_len:
+            continue
+        path.append(y)
+        on_path.add(y)
+        stack.append(iter(g.neighbors(y)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, PairSet, VertexColoring, check_total_coloring
+from .graphs import Graph, PairSet, VertexColoring, check_total_coloring, is_connected
 
 
 @dataclass
@@ -106,18 +106,21 @@ def _color_bits(c: VertexColoring) -> list:
     return [1 << (col - 1) for col in c.colors]
 
 
-def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets, want_witness: bool):
-    """Shared engine: find rainbow paths from source to the given targets.
+def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets) -> dict:
+    """The one search engine: rainbow paths from source to the given targets.
 
     ``bit`` is the coloring as per-vertex bitmasks (:func:`_color_bits`) and
     ``budget`` is path_budget(n, k); callers that search from many sources
     build both once.
 
-    Runs a level-synchronized BFS over (vertex, color-set) states, expanding
-    states in lexicographic order of the underlying path, so the first path
-    reaching a target is the shortest one and lexicographically least among
-    the shortest.  Returns a witness tuple (or None) when want_witness is
-    set, otherwise the set of targets reached.
+    Runs a level-synchronized BFS over states (vertex, mask, parent state),
+    expanding them in lexicographic order of the underlying path, so the
+    first path reaching a target is the shortest one and lexicographically
+    least among the shortest.  Expanding the source state first reaches
+    every neighbour, since an edge has no internal vertices.  Returns a dict
+    that maps each reached target to the state whose expansion reached it;
+    :func:`_path_to` reads the witness back.  The search stops once every
+    target is reached.
 
     A generated state (y, m2) is dropped when some color set m already held
     at y is a subset of m2 (``m & m2 == m``).  Set sizes equal path lengths,
@@ -126,38 +129,23 @@ def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets, want
     was held from an earlier, lexicographically smaller path of the same
     length.  Hence every frontier is the frontier of the search without
     pruning minus dominated states, in the same order and with the same
-    parents, and both the reached targets and the witness are unchanged.
+    parents, and both the reached targets and the witnesses are unchanged.
 
     Every call asserts that the number of expanded states stays within
     budget; expanded states are distinct partial paths, so the bound is never
     exceeded by a correct search.
     """
     expansions = 0
-
     remaining = set(targets)
-    found = set()
-
-    # Distance-1 pairs are rainbow under every coloring: the edge itself has
-    # no internal vertices.  Resolve them before searching.
-    for y in g.neighbors(source):
-        if y in remaining:
-            remaining.discard(y)
-            found.add(y)
-            if want_witness:
-                _note_call(expansions)
-                return (source, y)
-
-    # Each frontier entry is (vertex, mask); parents reconstructs witnesses.
+    reached = {}
     # seen[y] lists the masks accepted at y, in the order they were reached.
-    frontier = [(source, 0)]
     seen = [[] for _ in range(g.n)]
     seen[source].append(0)
-    parents = {} if want_witness else None
-
+    frontier = [(source, 0, None)]
     while frontier and remaining:
         next_frontier = []
         for state in frontier:
-            x, mask = state
+            x, mask, _ = state
             expansions += 1
             if expansions > budget:
                 search_stats.violations += 1
@@ -166,18 +154,8 @@ def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets, want
                 )
             for y in g.neighbors(x):
                 if y in remaining:
-                    found.add(y)
+                    reached[y] = state
                     remaining.discard(y)
-                    if want_witness:
-                        path = [y]
-                        st = state
-                        while st != (source, 0):
-                            path.append(st[0])
-                            st = parents[st]
-                        path.append(source)
-                        path.reverse()
-                        _note_call(expansions)
-                        return tuple(path)
                     if not remaining:
                         break
                 b = bit[y]
@@ -190,24 +168,25 @@ def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets, want
                         break
                 else:
                     masks.append(m2)
-                    if want_witness:
-                        parents[(y, m2)] = state
-                    next_frontier.append((y, m2))
+                    next_frontier.append((y, m2, state))
             if not remaining:
                 break
         frontier = next_frontier
 
-    _note_call(expansions)
-    if want_witness:
-        return None
-    return found
-
-
-def _note_call(expansions: int) -> None:
     search_stats.calls += 1
     search_stats.expansions += expansions
-    if expansions > search_stats.max_expansions:
-        search_stats.max_expansions = expansions
+    search_stats.max_expansions = max(search_stats.max_expansions, expansions)
+    return reached
+
+
+def _path_to(state) -> list:
+    """The vertices of the partial path that ends in state, source first."""
+    path = []
+    while state is not None:
+        path.append(state[0])
+        state = state[2]
+    path.reverse()
+    return path
 
 
 def exists_rainbow_path(g: Graph, c: VertexColoring, u: int, v: int) -> PathWitness | None:
@@ -222,46 +201,44 @@ def exists_rainbow_path(g: Graph, c: VertexColoring, u: int, v: int) -> PathWitn
     g.check_vertex(v)
     if u == v:
         raise ValueError("rainbow path endpoints must differ")
-    budget = path_budget(g.n, c.k)
-    path = _rainbow_search(g, _color_bits(c), budget, u, {v}, want_witness=True)
-    if path is None:
+    reached = _rainbow_search(g, _color_bits(c), path_budget(g.n, c.k), u, {v})
+    if v not in reached:
         return None
-    return PathWitness(g, path)
+    return PathWitness(g, (*_path_to(reached[v]), v))
+
+
+def first_unserved_pair(g: Graph, c: VertexColoring, p: PairSet | None = None) -> tuple | None:
+    """The least pair of p without a rainbow path under c, or None.
+
+    With p None every vertex pair is checked, which is defined only for
+    connected graphs.  Pairs are grouped by their smaller endpoint and each
+    source is searched once, in ascending order (a PairSet iterates sorted),
+    so the pair returned is the least one in sorted order.
+    """
+    check_total_coloring(g, c)
+    if p is None:
+        if not is_connected(g):
+            raise ValueError("rainbow vertex-connection is defined for connected graphs")
+        by_source = {a: range(a + 1, g.n) for a in range(g.n - 1)}
+    else:
+        p.check_in_range(g)
+        by_source = {}
+        for a, b in p:
+            by_source.setdefault(a, []).append(b)
+    bit = _color_bits(c)
+    budget = path_budget(g.n, c.k)
+    for source, targets in by_source.items():
+        reached = _rainbow_search(g, bit, budget, source, targets)
+        if len(reached) < len(targets):
+            return next((source, b) for b in targets if b not in reached)
+    return None
 
 
 def is_subset_rainbow_vc(g: Graph, c: VertexColoring, p: PairSet) -> bool:
     """True when every requested pair has a rainbow path under c."""
-    check_total_coloring(g, c)
-    p.check_in_range(g)
-    by_source: dict = {}
-    for a, b in p:
-        by_source.setdefault(a, set()).add(b)
-    bit = _color_bits(c)
-    budget = path_budget(g.n, c.k)
-    for source in sorted(by_source):
-        targets = by_source[source]
-        found = _rainbow_search(g, bit, budget, source, targets, want_witness=False)
-        if found != targets:
-            return False
-    return True
+    return first_unserved_pair(g, c, p) is None
 
 
 def is_rainbow_vertex_connected(g: Graph, c: VertexColoring) -> bool:
-    """True when every vertex pair has a rainbow path under c.
-
-    Rainbow connectivity is symmetric, so each unordered pair is checked
-    once, from its smaller endpoint.
-    """
-    from .graphs import is_connected
-
-    check_total_coloring(g, c)
-    if not is_connected(g):
-        raise ValueError("rainbow vertex-connection is defined for connected graphs")
-    bit = _color_bits(c)
-    budget = path_budget(g.n, c.k)
-    for source in range(g.n - 1):
-        targets = set(range(source + 1, g.n))
-        found = _rainbow_search(g, bit, budget, source, targets, want_witness=False)
-        if found != targets:
-            return False
-    return True
+    """True when every vertex pair has a rainbow path under c."""
+    return first_unserved_pair(g, c) is None

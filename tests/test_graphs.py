@@ -185,6 +185,9 @@ class TestSimplePaths:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         assert list(simple_paths(g, 0, 3)) == []
 
+    def test_long_path_does_not_recurse(self):
+        assert list(simple_paths(path_graph(1200), 0, 1199)) == [tuple(range(1200))]
+
 
 @given(connected_graphs_st(), st.data())
 @settings(max_examples=150, deadline=None)
@@ -202,8 +205,9 @@ def test_simple_paths_match_unbounded_oracle(g, data):
     v = data.draw(st.integers(0, g.n - 1))
     if u == v:
         return
-    mine = set(simple_paths(g, u, v))
-    assert mine == set(oracle_simple_paths(g, u, v))
+    mine = list(simple_paths(g, u, v))
+    assert set(mine) == set(oracle_simple_paths(g, u, v))
+    assert mine == sorted(oracle_simple_paths(g, u, v))
 
 
 @given(connected_graphs_st(max_n=5), st.data())

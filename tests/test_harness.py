@@ -1,10 +1,11 @@
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from rvckit import harness
 from rvckit.families import complete_graph, cycle_graph, path_graph
-from rvckit.gadgets import build_gadget
+from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import all_vertex_pairs, pair_set
 from rvckit.harness import (
     SUITE_NAMES,
@@ -23,6 +24,7 @@ from rvckit.harness import (
     run_sweep,
     suite_jobs,
 )
+from rvckit.solver import decide_subset_rvc
 
 P3 = path_graph(3)
 P3_PAIR = pair_set([(0, 1)])
@@ -30,6 +32,25 @@ P3_PAIR = pair_set([(0, 1)])
 
 def small_gadget(k):
     return build_gadget(P3, P3_PAIR, k)
+
+
+def least_unserved_pair(g, c):
+    """Brute force: the least pair joined by no path with k distinct internal colors.
+
+    A rainbow path has at most k internal vertices, so trying every sequence
+    of at most k vertices stays small where enumerating all simple paths of
+    a gadget does not.
+    """
+    for a, b in combinations(range(g.n), 2):
+        inner_pool = [x for x in range(g.n) if x not in (a, b)]
+        if not any(
+            all(g.has_edge(x, y) for x, y in zip((a, *inner), (*inner, b)))
+            and len({c.colors[x] for x in inner}) == len(inner)
+            for r in range(c.k + 1)
+            for inner in permutations(inner_pool, r)
+        ):
+            return a, b
+    return None
 
 
 class TestChecksOnHealthyGadgets:
@@ -85,7 +106,9 @@ class TestCorruptions:
         assert bad is not None
         r = check_lift_validity(P3, P3_PAIR, k, gadget=bad)
         assert r.status == "fail"
-        assert "pair" in r.detail
+        ck = lift_coloring(P3, P3_PAIR, k, decide_subset_rvc(P3, P3_PAIR, k).witness, gadget=bad)
+        least = least_unserved_pair(bad.graph, ck)
+        assert r.detail == f"lifted coloring leaves pair {least} without a rainbow path"
 
     def test_corruptions_need_material(self):
         g = complete_graph(3)

@@ -15,6 +15,7 @@ from rvckit.graphs import coloring, graph_from_edges, pair_set
 from rvckit.rainbow import (
     PathWitness,
     exists_rainbow_path,
+    first_unserved_pair,
     is_rainbow_path,
     is_rainbow_vertex_connected,
     is_subset_rainbow_vc,
@@ -242,3 +243,5 @@ def test_verifiers_match_oracle(gc, data):
     served = {q for q in universe if oracle_exists_rainbow_path(g, c, *q)}
     assert is_subset_rainbow_vc(g, c, pair_set(chosen)) == served.issuperset(chosen)
     assert is_rainbow_vertex_connected(g, c) == (served == set(universe))
+    assert first_unserved_pair(g, c, pair_set(chosen)) == min(set(chosen) - served, default=None)
+    assert first_unserved_pair(g, c) == min(set(universe) - served, default=None)
