@@ -142,9 +142,13 @@ def _cmd_verify(args) -> int:
         col = _coloring_arg(args.coloring, g)
     if col is None:
         raise InstanceFormatError("no coloring: give 'coloring' in the file or --coloring")
-    ok = first_unserved_pair(g, col, pairs) is None
-    print("yes" if ok else "no")
-    return _decision_exit(ok, args)
+    unserved = first_unserved_pair(g, col, pairs)
+    if unserved is None:
+        print("yes")
+    else:
+        print("no")
+        print(f"unserved pair: {unserved}")
+    return _decision_exit(unserved is None, args)
 
 
 def _cmd_gadget(args) -> int:

@@ -4,23 +4,24 @@ A path is rainbow when its internal vertices all carry distinct colors; the
 endpoints are unconstrained.  With a budget of k colors a rainbow path has at
 most k internal vertices, so every search below caps path length at k+1 edges.
 
-The search state is (current vertex, set of internal colors used so far).
-Because internal colors must stay distinct, two internal vertices can never
-coincide, so the color set captures a partial path exactly.  Each step adds
-one color, so a state's color set has as many colors as its path has edges.
+Both searches run over states (current vertex, set of colors on the path's
+vertices after the source).  Because internal colors must stay distinct, two
+internal vertices can never coincide, so the color set captures a partial
+path exactly.  Each step adds one color, so a state's color set has as many
+colors as its path has edges.  There are two searches:
 
-States are pruned by subset dominance: a new state (y, m2) is dropped when y
-already holds a color set m with m a subset of m2.  Any continuation from
-(y, m2) is also a valid continuation from (y, m): its colors avoid m2 and so
-avoid m, which keeps its vertices off the internal vertices of the shorter
-prefix.  A strict subset was reached by a strictly shorter path, so a
-dominated state is never on a shortest path; m = m2 is plain duplicate
-removal.  The source holds the empty set, which dominates every state that
-would re-enter it (its color is not charged, so re-entry must be barred).
+- the verification search behind :func:`first_unserved_pair` and the two
+  boolean verifiers answers every requested pair in one pass from all
+  sources, each state carrying a bitset of the sources that reach it;
+- the witness search behind :func:`exists_rainbow_path` runs from one
+  source to one target, links states to their parents and prunes them by
+  subset dominance, so it can return the shortest, lexicographically least
+  rainbow path.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graphs import Graph, PairSet, VertexColoring, check_total_coloring, is_connected
@@ -28,7 +29,7 @@ from .graphs import Graph, PairSet, VertexColoring, check_total_coloring, is_con
 
 @dataclass
 class SearchStats:
-    """Cumulative counters for the rainbow path search engine."""
+    """Cumulative counters for the rainbow path searches."""
 
     calls: int = 0
     expansions: int = 0
@@ -101,48 +102,41 @@ def is_rainbow_path(c: VertexColoring, p: PathWitness) -> bool:
     return len({c.colors[v] for v in internal}) == len(internal)
 
 
-def _color_bits(c: VertexColoring) -> list:
-    """Per-vertex bitmask of its color: color j maps to bit j-1."""
-    return [1 << (col - 1) for col in c.colors]
-
-
-def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets) -> dict:
-    """The one search engine: rainbow paths from source to the given targets.
-
-    ``bit`` is the coloring as per-vertex bitmasks (:func:`_color_bits`) and
-    ``budget`` is path_budget(n, k); callers that search from many sources
-    build both once.
+def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
+    """The witness search: the state whose expansion first reaches target, or None.
 
     Runs a level-synchronized BFS over states (vertex, mask, parent state),
     expanding them in lexicographic order of the underlying path, so the
-    first path reaching a target is the shortest one and lexicographically
+    first path reaching the target is the shortest one and lexicographically
     least among the shortest.  Expanding the source state first reaches
-    every neighbour, since an edge has no internal vertices.  Returns a dict
-    that maps each reached target to the state whose expansion reached it;
-    :func:`_path_to` reads the witness back.  The search stops once every
-    target is reached.
+    every neighbour, since an edge has no internal vertices.
+    :func:`_path_to` reads the witness back from the returned state.
 
     A generated state (y, m2) is dropped when some color set m already held
-    at y is a subset of m2 (``m & m2 == m``).  Set sizes equal path lengths,
-    so a strict subset was held from an earlier level, and any path through
-    (y, m2) has a strictly shorter counterpart through (y, m); an equal set
-    was held from an earlier, lexicographically smaller path of the same
-    length.  Hence every frontier is the frontier of the search without
-    pruning minus dominated states, in the same order and with the same
-    parents, and both the reached targets and the witnesses are unchanged.
+    at y is a subset of m2 (``m & m2 == m``).  Any continuation from (y, m2)
+    is also a valid continuation from (y, m): its colors avoid m2 and so
+    avoid m, which keeps its vertices off the prefix.  Set sizes equal path
+    lengths, so a strict subset was held from an earlier level and any path
+    through (y, m2) has a strictly shorter counterpart through (y, m); an
+    equal set was held from an earlier, lexicographically smaller path of
+    the same length.  Hence every frontier is the frontier of the search
+    without pruning minus dominated states, in the same order and with the
+    same parents, and the witness is unchanged.  The source holds the empty
+    set, which dominates every state that would re-enter it.
 
     Every call asserts that the number of expanded states stays within
-    budget; expanded states are distinct partial paths, so the bound is never
-    exceeded by a correct search.
+    path_budget(n, k); expanded states are distinct partial paths, so the
+    bound is never exceeded by a correct search.
     """
+    bit = [1 << (col - 1) for col in c.colors]  # color j maps to bit j-1
+    budget = path_budget(g.n, c.k)
     expansions = 0
-    remaining = set(targets)
-    reached = {}
+    reached = None
     # seen[y] lists the masks accepted at y, in the order they were reached.
     seen = [[] for _ in range(g.n)]
     seen[source].append(0)
     frontier = [(source, 0, None)]
-    while frontier and remaining:
+    while frontier and reached is None:
         next_frontier = []
         for state in frontier:
             x, mask, _ = state
@@ -153,11 +147,9 @@ def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets) -> d
                     f"path search expanded {expansions} states, over budget {budget}"
                 )
             for y in g.neighbors(x):
-                if y in remaining:
-                    reached[y] = state
-                    remaining.discard(y)
-                    if not remaining:
-                        break
+                if y == target:
+                    reached = state
+                    break
                 b = bit[y]
                 if mask & b:
                     continue
@@ -169,7 +161,7 @@ def _rainbow_search(g: Graph, bit: list, budget: int, source: int, targets) -> d
                 else:
                     masks.append(m2)
                     next_frontier.append((y, m2, state))
-            if not remaining:
+            if reached is not None:
                 break
         frontier = next_frontier
 
@@ -201,37 +193,126 @@ def exists_rainbow_path(g: Graph, c: VertexColoring, u: int, v: int) -> PathWitn
     g.check_vertex(v)
     if u == v:
         raise ValueError("rainbow path endpoints must differ")
-    reached = _rainbow_search(g, _color_bits(c), path_budget(g.n, c.k), u, {v})
-    if v not in reached:
+    state = _rainbow_search(g, c, u, v)
+    if state is None:
         return None
-    return PathWitness(g, (*_path_to(reached[v]), v))
+    return PathWitness(g, (*_path_to(state), v))
+
+
+def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
+    """The verification search: clear each served source from missing.
+
+    ``missing[y]`` is an int bitset of the sources whose pair with y is
+    requested; on return it holds those without a rainbow path to y.  One level-by-level search runs from all sources at once.  A
+    state is (x, M): the vertices after the source of some partial path
+    ending at x carry exactly the colors M, one each, so a level-l state has
+    |M| = l.  Each state holds the bitset of the sources that reach it.
+    Level l's states serve every neighbour y of x for their sources, since
+    the path's internal vertices are those carrying M; the sources
+    themselves form level 0, whose states serve the direct edges.  A state
+    expands to (y, M | bit(y)) for each neighbour y whose color is not in
+    M, and states with equal keys merge by OR.  Sources whose pairs are all
+    served are masked out.  The search stops when nothing is missing, when
+    no state is left, or after level k, where M holds every color.
+
+    Merging per (x, M) is exact.  Repeated colors are barred, so the
+    vertices after the source never repeat, and every walk a source's bit
+    travels along is rainbow up to its last vertex.  Such a walk may
+    re-enter its own source; then its part after the last visit to the
+    source is a shorter rainbow path to the same vertex, so serving from it
+    is still sound.  Conversely every rainbow path s, v1, ..., vl, y puts s
+    into state (vl, colors of v1..vl), which serves y.
+
+    The states stay within path_budget(n, k): a level-l state is fixed by
+    the l vertices after the source, so level l holds at most n**l distinct
+    (x, M), and levels 1..k sum to less than the budget.  Going over it
+    means the search is wrong; it is counted in ``search_stats.violations``
+    and raised as a RuntimeError.
+
+    Counters: ``search_stats.calls`` grows by the number of distinct
+    sources, so it still counts source searches and matches a search per
+    source on every yes-answer.  ``expansions`` counts the states of levels
+    1..k, and ``max_expansions`` is the largest such count of one
+    verification.
+    """
+    n = g.n
+    budget = path_budget(n, c.k)
+    active = 0
+    for m in missing:
+        active |= m
+    searched = active.bit_count()
+    # A state key packs (x, M) as M << shift | x.  Moving to a neighbour y
+    # ORs step[y] = bit(y) << shift | y into M << shift, and their AND is
+    # nonzero exactly when the color of y is already in M.
+    shift = n.bit_length()
+    low = (1 << shift) - 1
+    step = [(1 << (col - 1 + shift)) | y for y, col in enumerate(c.colors)]
+    adj = [g.neighbors(x) for x in range(n)]
+    moves = [[step[y] for y in ys] for ys in adj]
+    frontier = {s: 1 << s for s in range(n) if active >> s & 1}
+    expansions = 0
+    level = 0
+    while True:
+        reach = [0] * n
+        for key, sources in frontier.items():
+            reach[key & low] |= sources
+        active = 0
+        for y, m in enumerate(missing):
+            if m:
+                served = 0
+                for x in adj[y]:
+                    served |= reach[x]
+                m &= ~served
+                missing[y] = m
+                active |= m
+        if not active or level == c.k:
+            break
+        grown = defaultdict(int)
+        for key, sources in frontier.items():
+            sources &= active
+            if sources:
+                x = key & low
+                mask = key ^ x
+                for t in moves[x]:
+                    if not mask & t:
+                        grown[mask | t] |= sources
+        if not grown:
+            break
+        frontier = grown
+        level += 1
+        expansions += len(frontier)
+        if expansions > budget:
+            search_stats.violations += 1
+            raise RuntimeError(f"path search expanded {expansions} states, over budget {budget}")
+
+    search_stats.calls += searched
+    search_stats.expansions += expansions
+    search_stats.max_expansions = max(search_stats.max_expansions, expansions)
 
 
 def first_unserved_pair(g: Graph, c: VertexColoring, p: PairSet | None = None) -> tuple | None:
     """The least pair of p without a rainbow path under c, or None.
 
     With p None every vertex pair is checked, which is defined only for
-    connected graphs.  Pairs are grouped by their smaller endpoint and each
-    source is searched once, in ascending order (a PairSet iterates sorted),
-    so the pair returned is the least one in sorted order.
+    connected graphs.  All pairs are checked in one search from all sources
+    (:func:`_serve_from_all_sources`); the least pair is then read off the
+    bitsets of the requested sources each vertex still lacks.
     """
     check_total_coloring(g, c)
     if p is None:
         if not is_connected(g):
             raise ValueError("rainbow vertex-connection is defined for connected graphs")
-        by_source = {a: range(a + 1, g.n) for a in range(g.n - 1)}
+        missing = [(1 << b) - 1 for b in range(g.n)]
     else:
         p.check_in_range(g)
-        by_source = {}
+        missing = [0] * g.n
         for a, b in p:
-            by_source.setdefault(a, []).append(b)
-    bit = _color_bits(c)
-    budget = path_budget(g.n, c.k)
-    for source, targets in by_source.items():
-        reached = _rainbow_search(g, bit, budget, source, targets)
-        if len(reached) < len(targets):
-            return next((source, b) for b in targets if b not in reached)
-    return None
+            missing[b] |= 1 << a
+    _serve_from_all_sources(g, c, missing)
+    # The least source still missing at y is its lowest set bit.
+    return min(
+        (((m & -m).bit_length() - 1, y) for y, m in enumerate(missing) if m), default=None
+    )
 
 
 def is_subset_rainbow_vc(g: Graph, c: VertexColoring, p: PairSet) -> bool:

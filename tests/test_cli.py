@@ -86,7 +86,7 @@ class TestVerify:
     def test_rejects_bad_coloring(self, p5_file, capsys):
         code = cli_main(["verify", "-i", p5_file, "--coloring", "[1, 1, 1, 1, 1]"])
         assert code == 1
-        assert "no" in capsys.readouterr().out
+        assert capsys.readouterr().out == "no\nunserved pair: (0, 3)\n"
 
     def test_subset_scope(self, p5_file, capsys):
         code = cli_main(

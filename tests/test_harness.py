@@ -19,6 +19,7 @@ from rvckit.harness import (
     corrupt_shortcut,
     corrupt_unhook,
     describe_instance,
+    gadget_sweep_instances,
     run_check,
     run_suite,
     run_sweep,
@@ -102,13 +103,25 @@ class TestCorruptions:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_base_cut_breaks_lift_validity(self, k):
-        bad = corrupt_base_cut(small_gadget(k))
-        assert bad is not None
-        r = check_lift_validity(P3, P3_PAIR, k, gadget=bad)
-        assert r.status == "fail"
-        ck = lift_coloring(P3, P3_PAIR, k, decide_subset_rvc(P3, P3_PAIR, k).witness, gadget=bad)
-        least = least_unserved_pair(bad.graph, ck)
-        assert r.detail == f"lifted coloring leaves pair {least} without a rainbow path"
+        # Every base-cut gadget of the n <= 3 sweep at level k.  The cut does
+        # not always break lift-validity: the cut pair may keep another
+        # rainbow path through the base.  Status and detail must match the
+        # brute force either way.
+        statuses = Counter()
+        for g, p, _ in gadget_sweep_instances(3, (k,)):
+            bad = corrupt_base_cut(build_gadget(g, p, k))
+            if bad is None:
+                continue
+            r = check_lift_validity(g, p, k, gadget=bad)
+            ck = lift_coloring(g, p, k, decide_subset_rvc(g, p, k).witness, gadget=bad)
+            least = least_unserved_pair(bad.graph, ck)
+            if least is None:
+                assert r.status == "pass"
+            else:
+                assert r.status == "fail"
+                assert r.detail == f"lifted coloring leaves pair {least} without a rainbow path"
+            statuses[r.status] += 1
+        assert statuses == {"fail": 7, "pass": 7}
 
     def test_corruptions_need_material(self):
         g = complete_graph(3)

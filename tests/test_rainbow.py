@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,9 @@ from oracles import (
 from strategies import colored_graphs_st
 
 from rvckit.families import complete_graph, cycle_graph, path_graph, star_graph
-from rvckit.graphs import coloring, graph_from_edges, pair_set
+from rvckit.gadgets import build_gadget
+from rvckit.graphs import VertexColoring, coloring, graph_from_edges, pair_set
+from rvckit.harness import gadget_sweep_instances
 from rvckit.rainbow import (
     PathWitness,
     exists_rainbow_path,
@@ -245,3 +250,28 @@ def test_verifiers_match_oracle(gc, data):
     assert is_rainbow_vertex_connected(g, c) == (served == set(universe))
     assert first_unserved_pair(g, c, pair_set(chosen)) == min(set(chosen) - served, default=None)
     assert first_unserved_pair(g, c) == min(set(universe) - served, default=None)
+
+
+def test_all_source_search_matches_per_pair_witness_search():
+    # The oracle tests stop at n <= 7; gadgets reach n = 33.  Each coloring
+    # draws from a random prefix 1..j of the k colors, so about half leave
+    # some pair unserved.  Three pair sets: every pair, the gadget's own
+    # requested pairs, and a random sample that includes far pairs.
+    rng = random.Random(6)
+    for g, p, k in gadget_sweep_instances(3, (2, 3, 4, 5))[::2]:
+        gg = build_gadget(g, p, k)
+        h = gg.graph
+        j = rng.randint(1, k)
+        c = VertexColoring(tuple(rng.randint(1, j) for _ in range(h.n)), k)
+        universe = list(combinations(range(h.n), 2))
+        unserved = [q for q in universe if exists_rainbow_path(h, c, *q) is None]
+        sample = pair_set(rng.sample(universe, len(universe) // 3))
+        budget = path_budget(h.n, k)
+        for pairs in (None, gg.pairs_k, sample):
+            search_stats.reset()
+            got = first_unserved_pair(h, c, pairs)
+            wanted = set(universe if pairs is None else pairs)
+            assert got == next((q for q in unserved if q in wanted), None)
+            assert search_stats.calls == len({a for a, _ in wanted})
+            assert search_stats.max_expansions <= budget
+            assert search_stats.violations == 0
