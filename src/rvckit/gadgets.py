@@ -22,11 +22,11 @@ Vertex labels are structured tuples:
     ("w", i, j, a)         shortcut rung for the non-requested pair (i, j)
     ("base", i)            base-layer copy of source vertex i
 
-Construction for levels 2 and 3 is explicit; every higher level is built by
-splitting the previous base layer in two, so the recursive step is the only
-code path above 3.  Vertex ids are assigned level by level (hub first, then
-rungs by index, shortcut rungs by pair, base last), which keeps emitted files
-and golden tests stable.
+Construction for levels 2 and 3 is explicit; every higher level is built in
+a loop that splits the previous base layer in two, two levels per step, so
+that step is the only code path above 3.  Vertex ids are assigned level by
+level (hub first, then rungs by index, shortcut rungs by pair, base last),
+which keeps emitted files and golden tests stable.
 """
 
 from __future__ import annotations
@@ -132,33 +132,34 @@ def _ledge(a, b) -> tuple:
 
 
 def _structure(g: Graph, p: PairSet, k: int):
-    """Labels and label-space edges of the level-k gadget."""
+    """Labels and label-space edges of the level-k gadget.
+
+    Built up from the level-2 or level-3 base case, two levels per step.
+    Until the end the base layer is kept apart: ``attach`` lists the
+    (vertex, i) edges from the other labels to base copy i, and base-base
+    edges are the source graph's edges.  Each step splits base copy i into
+    the rung ("v", i, level - 2, 1 | 2), which takes over its attachments,
+    and stacks a new base copy on the rung.
+    """
     n = g.n
     nonpairs = nonrequested_pairs(n, p)
-    if k == 2:
+    if k % 2 == 0:
         hub = ("hub",)
         level0 = [("v", i, 0, a) for i in range(n) for a in (1, 2)]
         level0 += [("w", i, j, a) for i, j in nonpairs for a in (1, 2)]
-        base = [("base", i) for i in range(n)]
+        labels = set([hub] + level0)
         edges = set()
         edges.update(_ledge(hub, x) for x in level0)
         edges.update(_ledge(("v", i, 0, 1), ("v", i, 0, 2)) for i in range(n))
         edges.update(_ledge(("w", i, j, 1), ("w", i, j, 2)) for i, j in nonpairs)
-        for i in range(n):
-            edges.add(_ledge(("base", i), ("v", i, 0, 1)))
-            edges.add(_ledge(("base", i), ("v", i, 0, 2)))
-        for i, j in nonpairs:
-            edges.add(_ledge(("base", i), ("w", i, j, 1)))
-            edges.add(_ledge(("base", j), ("w", i, j, 2)))
-        edges.update(_ledge(("base", u), ("base", v)) for u, v in g.edges)
-        return set([hub] + level0 + base), edges
-
-    if k == 3:
+        attach = [(("v", i, 0, a), i) for i in range(n) for a in (1, 2)]
+        level = 2
+    else:
         level0 = [("v", i, 0, a) for i in range(n) for a in (1, 2)]
         level0 += [("u", i, j, a) for i, j in nonpairs for a in (1, 2)]
         level1 = [("v", i, 1, a) for i in range(n) for a in (1, 2)]
         level1 += [("w", i, j, a) for i, j in nonpairs for a in (1, 2)]
-        base = [("base", i) for i in range(n)]
+        labels = set(level0 + level1)
         edges = set()
         edges.update(_ledge(x, y) for x, y in combinations(sorted(level0), 2))
         for i in range(n):
@@ -170,38 +171,24 @@ def _structure(g: Graph, p: PairSet, k: int):
                 for b in (1, 2):
                     edges.add(_ledge(("u", i, j, a), ("w", i, j, b)))
         edges.update(_ledge(("v", i, 1, 1), ("v", i, 1, 2)) for i in range(n))
-        for i in range(n):
-            edges.add(_ledge(("base", i), ("v", i, 1, 1)))
-            edges.add(_ledge(("base", i), ("v", i, 1, 2)))
-        for i, j in nonpairs:
-            edges.add(_ledge(("base", i), ("w", i, j, 1)))
-            edges.add(_ledge(("base", j), ("w", i, j, 2)))
-        edges.update(_ledge(("base", u), ("base", v)) for u, v in g.edges)
-        return set(level0 + level1 + base), edges
+        attach = [(("v", i, 1, a), i) for i in range(n) for a in (1, 2)]
+        level = 3
+    attach += [(("w", i, j, 1), i) for i, j in nonpairs]
+    attach += [(("w", i, j, 2), j) for i, j in nonpairs]
 
-    # Inductive step: split the previous base layer, rewire, stack a new base.
-    labels_prev, edges_prev = _structure(g, p, k - 2)
-    edges = set()
-    for la, lb in edges_prev:
-        a_base = la[0] == "base"
-        b_base = lb[0] == "base"
-        if a_base and b_base:
-            continue
-        if a_base or b_base:
-            x, i = (lb, la[1]) if a_base else (la, lb[1])
-            edges.add(_ledge(x, ("v", i, k - 2, 1)))
-            edges.add(_ledge(x, ("v", i, k - 2, 2)))
-        else:
-            edges.add(_ledge(la, lb))
-    labels = {lab for lab in labels_prev if lab[0] != "base"}
-    for i in range(n):
-        split1 = ("v", i, k - 2, 1)
-        split2 = ("v", i, k - 2, 2)
-        newbase = ("base", i)
-        labels.update((split1, split2, newbase))
-        edges.add(_ledge(split1, split2))
-        edges.add(_ledge(newbase, split1))
-        edges.add(_ledge(newbase, split2))
+    while level < k:
+        level += 2
+        split = [(("v", i, level - 2, 1), ("v", i, level - 2, 2)) for i in range(n)]
+        for x, i in attach:
+            edges.add(_ledge(x, split[i][0]))
+            edges.add(_ledge(x, split[i][1]))
+        for s1, s2 in split:
+            labels.update((s1, s2))
+            edges.add(_ledge(s1, s2))
+        attach = [(s, i) for i, pair in enumerate(split) for s in pair]
+
+    labels.update(("base", i) for i in range(n))
+    edges.update(_ledge(("base", i), x) for x, i in attach)
     edges.update(_ledge(("base", u), ("base", v)) for u, v in g.edges)
     return labels, edges
 
@@ -249,10 +236,15 @@ def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
 
 
 def _label_colors(g: Graph, p: PairSet, k: int, c: VertexColoring) -> dict:
-    """Color of every labelled vertex for the level-k lift of c."""
+    """Color of every labelled vertex for the level-k lift of c.
+
+    Built up from the level-2 or level-3 base case, two levels per step;
+    each step keeps the colors below it and gives the new rung the two
+    highest colors of its level.  The base layer copies c.
+    """
     n = g.n
     nonpairs = nonrequested_pairs(n, p)
-    if k == 2:
+    if k % 2 == 0:
         out = {("hub",): 1}
         for i in range(n):
             out[("v", i, 0, 1)] = 1
@@ -260,7 +252,8 @@ def _label_colors(g: Graph, p: PairSet, k: int, c: VertexColoring) -> dict:
         for i, j in nonpairs:
             out[("w", i, j, 1)] = 1
             out[("w", i, j, 2)] = 2
-    elif k == 3:
+        level = 2
+    else:
         out = {}
         for i in range(n):
             out[("v", i, 0, 1)] = 1
@@ -272,18 +265,19 @@ def _label_colors(g: Graph, p: PairSet, k: int, c: VertexColoring) -> dict:
             out[("u", i, j, 2)] = 2
             out[("w", i, j, 1)] = 2
             out[("w", i, j, 2)] = 3
-    else:
-        out = {lab: col for lab, col in _label_colors(g, p, k - 2, c).items() if lab[0] != "base"}
-        if k % 2 == 0:
-            out[("hub",)] = k - 1
+        level = 3
+    while level < k:
+        level += 2
+        if level % 2 == 0:
+            out[("hub",)] = level - 1
         else:
             for i in range(n):
-                out[("v", i, 0, 2)] = k - 1
+                out[("v", i, 0, 2)] = level - 1
             for i, j in nonpairs:
-                out[("u", i, j, 2)] = k - 1
+                out[("u", i, j, 2)] = level - 1
         for i in range(n):
-            out[("v", i, k - 2, 1)] = k - 1
-            out[("v", i, k - 2, 2)] = k
+            out[("v", i, level - 2, 1)] = level - 1
+            out[("v", i, level - 2, 2)] = level
     for i in range(n):
         out[("base", i)] = c.colors[i]
     return out

@@ -191,46 +191,39 @@ def distance(g: Graph, u: int, v: int):
     return INFINITY
 
 
-def _eccentricities(g: Graph) -> list:
-    ecc = []
-    for u in range(g.n):
-        dist = [-1] * g.n
-        dist[u] = 0
-        frontier = deque([u])
-        while frontier:
-            x = frontier.popleft()
-            for y in g.neighbors(x):
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    frontier.append(y)
-        if min(dist) < 0:
-            return []  # disconnected
-        ecc.append(max(dist))
-    return ecc
+def distances_from(g: Graph, s: int) -> list:
+    """BFS distance from s to every vertex; None where unreachable."""
+    adj = g._adj
+    dist: list = [None] * g.n
+    dist[s] = 0
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if dist[y] is None:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def distance_rows(g: Graph) -> list:
+    """The all-pairs distance table: ``rows[u][v]``, None when unreachable."""
+    return [distances_from(g, u) for u in range(g.n)]
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    frontier = deque([0])
-    count = 1
-    while frontier:
-        x = frontier.popleft()
-        for y in g.neighbors(x):
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                frontier.append(y)
-    return count == g.n
+    return None not in distances_from(g, 0)
 
 
 def diameter(g: Graph) -> int:
-    ecc = _eccentricities(g)
-    if not ecc:
+    rows = distance_rows(g)
+    if None in rows[0]:
         raise ValueError("diameter is undefined for a disconnected graph")
-    return max(ecc)
+    return max(map(max, rows))
 
 
 def is_complete(g: Graph) -> bool:
@@ -266,16 +259,7 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
     if max_len < 1:
         return
 
-    dist_to_v: list = [None] * g.n
-    dist_to_v[v] = 0
-    frontier = deque([v])
-    while frontier:
-        x = frontier.popleft()
-        for y in g.neighbors(x):
-            if dist_to_v[y] is None:
-                dist_to_v[y] = dist_to_v[x] + 1
-                frontier.append(y)
-
+    dist_to_v = distances_from(g, v)
     if dist_to_v[u] is None or dist_to_v[u] > max_len:
         return
     # stack[i] iterates the neighbors of path[i] not yet tried.

@@ -294,25 +294,28 @@ def first_unserved_pair(g: Graph, c: VertexColoring, p: PairSet | None = None) -
     """The least pair of p without a rainbow path under c, or None.
 
     With p None every vertex pair is checked, which is defined only for
-    connected graphs.  All pairs are checked in one search from all sources
+    connected graphs.  A disconnected graph always leaves a pair across two
+    components unserved, so connectivity is tested only after a no.  All
+    pairs are checked in one search from all sources
     (:func:`_serve_from_all_sources`); the least pair is then read off the
     bitsets of the requested sources each vertex still lacks.
     """
     check_total_coloring(g, c)
     if p is None:
-        if not is_connected(g):
-            raise ValueError("rainbow vertex-connection is defined for connected graphs")
         missing = [(1 << b) - 1 for b in range(g.n)]
     else:
         p.check_in_range(g)
         missing = [0] * g.n
-        for a, b in p:
+        for a, b in p.pairs:
             missing[b] |= 1 << a
     _serve_from_all_sources(g, c, missing)
     # The least source still missing at y is its lowest set bit.
-    return min(
+    unserved = min(
         (((m & -m).bit_length() - 1, y) for y, m in enumerate(missing) if m), default=None
     )
+    if unserved is not None and p is None and not is_connected(g):
+        raise ValueError("rainbow vertex-connection is defined for connected graphs")
+    return unserved
 
 
 def is_subset_rainbow_vc(g: Graph, c: VertexColoring, p: PairSet) -> bool:

@@ -24,6 +24,15 @@ set is color-blocked when it meets the mask of the color just placed.  A pair
 whose candidate sets are all blocked by the partial assignment can never be
 satisfied, and the branch is abandoned.
 
+Every decision runs on one private core after its public entry point has
+validated the input once.  ``rvc_exact`` and ``decide_rvc_le_k`` build one
+table of BFS distance rows per graph; it answers connectivity, the diameter
+lower bound where ``rvc_exact`` starts its scan, and the exact-distance prune
+of the path enumeration for every pair.  ``decide_subset_rvc`` runs a BFS
+only from the targets of its pairs.  A pair at distance at most 2 has a path
+with at most one internal vertex, rainbow under every coloring, so the core
+drops it before enumerating anything; a pair farther than k+1 is a no.
+
 Yes-answers are never trusted from search state: the witness coloring is
 re-verified with the independent rainbow checker before it is returned.
 """
@@ -31,17 +40,18 @@ re-verified with the independent rainbow checker before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
-    all_vertex_pairs,
-    diameter,
+    distance_rows,
+    distances_from,
     is_complete,
     is_connected,
 )
-from .rainbow import is_subset_rainbow_vc
+from .rainbow import first_unserved_pair
 
 
 @dataclass(frozen=True)
@@ -108,22 +118,6 @@ def _canonical_search(order: list, k: int, place, undo):
     return colors, nodes
 
 
-def _distances_within(g: Graph, b: int, cap: int) -> list:
-    """BFS distance to b for every vertex within cap of it, None for the rest."""
-    dist: list = [None] * g.n
-    dist[b] = 0
-    frontier = [b]
-    for d in range(1, cap + 1):
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                if dist[y] is None:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
 def _induced_path_sets(g: Graph, adj: list, dist: list, a: int, b: int, max_len: int) -> list:
     """Internal-vertex bitmasks of the induced a-b paths with at most max_len edges.
 
@@ -163,37 +157,48 @@ def _bits(mask: int) -> list:
 
 
 def _adjacency_masks(g: Graph) -> list:
-    return [sum(1 << w for w in g.neighbors(v)) for v in g.vertices()]
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def _candidate_sets(g: Graph, p: PairSet, max_len: int):
-    """Yield, per non-adjacent pair of p, its induced-path internal sets as bitmasks."""
+    """Yield, per non-adjacent pair of p, its induced-path internal sets as bitmasks.
+
+    These are the sets the decision core enumerates for each pair it keeps.
+    """
     adj = _adjacency_masks(g)
-    dist_to: dict = {}  # BFS distances per target, shared by the pairs ending there
+    dist_to = _target_rows(g, p)
     for a, b in p:
-        if g.has_edge(a, b):
-            continue
-        if b not in dist_to:
-            dist_to[b] = _distances_within(g, b, max_len)
-        yield _induced_path_sets(g, adj, dist_to[b], a, b, max_len)
+        if not g.has_edge(a, b):
+            yield _induced_path_sets(g, adj, dist_to[b], a, b, max_len)
 
 
-def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
-    """Decide whether some k-coloring makes every pair in p rainbow connected."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not is_connected(g):
-        raise ValueError("subset rainbow decisions need a connected graph")
-    p.check_in_range(g)
+def _target_rows(g: Graph, p: PairSet) -> dict:
+    """BFS distance rows from the targets of p, the larger vertex of each pair."""
+    return {b: distances_from(g, b) for _, b in p.pairs}
 
-    # Pairs with a path of at most one internal vertex are satisfied under
-    # every coloring and drop out.
+
+def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
+    """Decide a validated instance: g connected, k >= 1, p in range or None for all pairs.
+
+    ``dist_to[b]`` is the BFS distance row from each target b of p.  A pair
+    at distance 1 or 2 has a path with at most one internal vertex, rainbow
+    under every coloring, so it drops out before any path is enumerated; a
+    pair beyond k+1 has no path a k-coloring can make rainbow.  Every other
+    pair's induced paths have at least two internal vertices.
+    """
+    adj = _adjacency_masks(g)
     constraints = []
-    for sets in _candidate_sets(g, p, k + 1):
-        if not sets:
+    for a, b in combinations(range(g.n), 2) if p is None else p:
+        dist = dist_to[b]
+        if dist[a] < 3:
+            continue
+        if dist[a] > k + 1:
             return SolveResult(False, None, 0)
-        if min(s.bit_count() for s in sets) > 1:
-            constraints.append(sets)
+        constraints.append(_induced_path_sets(g, adj, dist, a, b, k + 1))
 
     # blocked flag per candidate set, alive count per constraint, and
     # vertex -> (constraint, set index, set) for the sets through it.
@@ -234,9 +239,27 @@ def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
     if colors is None:
         return SolveResult(False, None, nodes)
     witness = VertexColoring(tuple(colors), k)
-    if not is_subset_rainbow_vc(g, witness, p):
+    if first_unserved_pair(g, witness, p) is not None:
         raise RuntimeError("solver produced a witness the independent checker rejects")
     return SolveResult(True, witness, nodes)
+
+
+def _connected_rows(g: Graph) -> list:
+    """The distance table of g; raises unless g is connected."""
+    rows = distance_rows(g)
+    if None in rows[0]:
+        raise ValueError("rainbow vertex-connection needs a connected graph")
+    return rows
+
+
+def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
+    """Decide whether some k-coloring makes every pair in p rainbow connected."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not is_connected(g):
+        raise ValueError("subset rainbow decisions need a connected graph")
+    p.check_in_range(g)
+    return _decide(g, k, p, _target_rows(g, p))
 
 
 def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
@@ -247,26 +270,27 @@ def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
     """
     if k < 0:
         raise ValueError("k must be at least 0")
-    if not is_connected(g):
-        raise ValueError("rainbow vertex-connection needs a connected graph")
+    rows = _connected_rows(g)
     if k == 0:
         return SolveResult(is_complete(g), None, 0)
-    return decide_subset_rvc(g, all_vertex_pairs(g), k)
+    return _decide(g, k, None, rows)
 
 
 def rvc_exact(g: Graph):
     """Smallest k that rainbow vertex-connects g, with a witness coloring.
 
-    Searches upward from the diameter lower bound; n-2 colors always suffice
-    (color the internal vertices of a spanning tree distinctly), so the scan
-    terminates.
+    One distance table serves the connectivity check, the diameter and every
+    decision.  The scan starts at the diameter - 1 lower bound; a graph of
+    diameter at most 1 is complete and needs no colors.  n-2 colors always
+    suffice (color the internal vertices of a spanning tree distinctly), so
+    the scan terminates.
     """
-    if not is_connected(g):
-        raise ValueError("rainbow vertex-connection needs a connected graph")
-    start = max(0, diameter(g) - 1)
-    limit = max(g.n - 2, 0)
-    for k in range(start, limit + 1):
-        result = decide_rvc_le_k(g, k)
+    rows = _connected_rows(g)
+    diam = max(map(max, rows))
+    if diam <= 1:
+        return 0, None
+    for k in range(diam - 1, g.n - 1):
+        result = _decide(g, k, None, rows)
         if result.decision:
             return k, result.witness
     raise RuntimeError(f"no decision up to the n-2 bound for n={g.n}")

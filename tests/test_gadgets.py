@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,20 @@ class TestLiftColoring:
         gg = build_gadget(g, p, 2)
         ck = lift_coloring(g, p, 2, c, gadget=gg)
         assert project_coloring(gg, ck) == c
+
+    def test_levels_deeper_than_the_recursion_limit(self):
+        # Each level step is a loop iteration, so a level far above the
+        # recursion limit builds and lifts; P2 gains 4 vertices per step.
+        g = path_graph(2)
+        p = pair_set([(0, 1)])
+        depth = sys.getrecursionlimit()
+        for k, base_size in ((2 * depth + 1, 10), (2 * depth + 2, 7)):
+            gg = build_gadget(g, p, k)
+            assert gg.graph.n == base_size + 4 * ((k - 2) // 2)
+            c = coloring([1, 2], k)
+            ck = lift_coloring(g, p, k, c, gadget=gg)
+            assert ck.colors == tuple(expected_lift_color(lab, k, c.colors) for lab in gg.labels)
+            assert project_coloring(gg, ck) == c
 
 
 class TestLabelLevels:

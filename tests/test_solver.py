@@ -107,6 +107,12 @@ class TestFullDecision:
         with pytest.raises(ValueError):
             decide_rvc_le_k(path_graph(3), -1)
 
+    def test_rejects_disconnected(self):
+        g = graph_from_edges(4, [(0, 1), (2, 3)])
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError):
+                decide_rvc_le_k(g, k)
+
 
 class TestExactValue:
     def test_known_families(self):
@@ -127,6 +133,21 @@ class TestExactValue:
         for n in range(1, 6):
             for g in connected_graphs_of_order(n):
                 assert rvc_exact(g)[0] == oracle_rvc(g)
+
+    def test_rejects_disconnected(self):
+        for g in (graph_from_edges(2, []), graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])):
+            with pytest.raises(ValueError):
+                rvc_exact(g)
+
+    def test_pinned_on_the_catalog(self):
+        # rvc and witness on every connected graph with n <= 7 (996 graphs),
+        # recorded before rvc_exact shared one distance table per graph and
+        # dropped the pairs at distance <= 2 before enumerating paths.
+        digest = hashlib.sha256()
+        for g in connected_graphs(7):
+            k, witness = rvc_exact(g)
+            digest.update(repr((k, witness and witness.colors)).encode())
+        assert digest.hexdigest() == "8c43172ddae991cce92f32439a566040bcd184c8b3cc65f26097cd1d157c92ab"
 
 
 class TestChromaticDecision:
