@@ -1,19 +1,24 @@
 """Small graph families: named constructors and exhaustive enumeration.
 
 Enumeration of connected graphs up to isomorphism reads the graph atlas
-data file that ships with networkx (``networkx.generators.atlas.ATLAS_FILE``).
+data file that ships with networkx (``networkx/generators/atlas.dat.gz``).
 It lists every graph on at most seven vertices exactly once per isomorphism
 class, sorted by vertex count; networkx supplies only that file, and the
 graphs are built and tested for connectivity here.
+
+The file is found from networkx's import spec, which locates the package
+without running it, and only when an enumeration reads the atlas.
+Importing networkx would load the whole package, most of rvckit's start-up
+time and memory, in every process, including those that never enumerate.
 """
 
 from __future__ import annotations
 
 import gzip
+import os
+from importlib.util import find_spec
 from itertools import combinations
 from typing import Iterator
-
-from networkx.generators.atlas import ATLAS_FILE
 
 from .graphs import Graph, PairSet, graph_from_edges, is_connected, pair_set
 
@@ -40,6 +45,17 @@ def star_graph(leaves: int) -> Graph:
 _ATLAS_LIMIT = 7
 
 
+def _atlas_file() -> str:
+    """Path of networkx's atlas data file, found without importing networkx."""
+    spec = find_spec("networkx")
+    if spec is None or not spec.submodule_search_locations:
+        raise FileNotFoundError(
+            "graph atlas enumeration needs the networkx package, which ships "
+            "atlas.dat.gz; install networkx"
+        )
+    return os.path.join(spec.submodule_search_locations[0], "generators", "atlas.dat.gz")
+
+
 def connected_graphs_of_order(n: int) -> list:
     """Connected graphs on exactly n vertices, one per isomorphism class."""
     if not 1 <= n <= _ATLAS_LIMIT:
@@ -56,7 +72,7 @@ def _atlas_entries(max_n: int) -> Iterator[tuple]:
     is skipped.
     """
     n, edges = 0, []
-    with gzip.open(ATLAS_FILE, "rt") as fh:
+    with gzip.open(_atlas_file(), "rt") as fh:
         for line in fh:
             if line.startswith("GRAPH"):
                 if n:

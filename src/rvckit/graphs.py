@@ -45,7 +45,7 @@ class Graph:
             # type() rather than isinstance(): bool is an int subclass, and
             # True would silently alias vertex 1.
             if type(u) is not int or type(v) is not int or not 0 <= u < v < self.n:
-                raise ValueError(f"edge {e} is not a normalized in-range pair")
+                raise ValueError(_edge_fault(u, v, self.n))
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
@@ -73,18 +73,30 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
+def _edge_fault(u, v, n: int) -> str:
+    """Why (u, v) is not a normalized in-range edge of a graph on n vertices."""
+    if type(u) is not int or type(v) is not int:
+        return f"edge ({u!r}, {v!r}) has a vertex id that is not an int"
+    if u == v:
+        return f"edge ({u}, {v}) repeats a vertex"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u}, {v}) out of range for n={n}"
+    return f"edge ({u}, {v}) is not normalized (i < j)"
+
+
 def graph_from_edges(n: int, edges: Iterable) -> Graph:
-    """Build a graph from an edge list; dedupes, rejects loops and bad ids."""
-    if n < 1:
-        raise ValueError("graph must have at least one vertex")
+    """Build a graph from an edge list: orders each pair and dedupes.
+
+    Validation (loops, bad or out-of-range ids) is left to ``Graph``, so
+    every edge is checked exactly once.
+    """
     norm = set()
-    for e in edges:
-        u, v = e
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        norm.add(normalize_pair(u, v))
+    for u, v in edges:
+        try:
+            norm.add((u, v) if u < v else (v, u))
+        except TypeError:
+            # Ids that do not compare, such as a str against an int.
+            raise ValueError(_edge_fault(u, v, n)) from None
     return Graph(n, frozenset(norm))
 
 
@@ -193,8 +205,12 @@ def distance(g: Graph, u: int, v: int):
 
 def distances_from(g: Graph, s: int) -> list:
     """BFS distance from s to every vertex; None where unreachable."""
-    adj = g._adj
-    dist: list = [None] * g.n
+    return adjacency_distances(g._adj, s)
+
+
+def adjacency_distances(adj, s: int) -> list:
+    """BFS distance from s over neighbour lists ``adj[v]``; None where unreachable."""
+    dist: list = [None] * len(adj)
     dist[s] = 0
     frontier = [s]
     d = 0
@@ -212,7 +228,8 @@ def distances_from(g: Graph, s: int) -> list:
 
 def distance_rows(g: Graph) -> list:
     """The all-pairs distance table: ``rows[u][v]``, None when unreachable."""
-    return [distances_from(g, u) for u in range(g.n)]
+    adj = g._adj
+    return [adjacency_distances(adj, u) for u in range(g.n)]
 
 
 def is_connected(g: Graph) -> bool:

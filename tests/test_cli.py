@@ -217,6 +217,15 @@ class TestClaims:
         assert cli_main(["claims", "--suite", "equivalence", "--cap", cap]) == 2
         assert "--cap" in capsys.readouterr().err
 
+    def test_missing_networkx_is_an_error_not_a_crash(self, p5_file, monkeypatch, capsys):
+        # Only atlas enumeration needs networkx, for the data file it ships.
+        monkeypatch.setattr("rvckit.families.find_spec", lambda name: None)
+        assert cli_main(["verify", "-i", p5_file, "--coloring", "[1, 1, 2, 3, 1]"]) == 0
+        capsys.readouterr()
+        assert cli_main(["claims", "--suite", "core"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "networkx" in err
+
     def test_jobs_is_clamped_to_the_cpu_count(self, monkeypatch, capsys):
         seen = []
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
+from rvckit import families
 from rvckit.families import (
     all_pair_sets,
     complete_graph,
@@ -77,6 +82,16 @@ class TestEnumerations:
         got = connected_graphs(max_n)
         assert [(g.n, g.edges) for g in got] == [(g.n, g.edges) for g in want]
 
+    def test_atlas_file_is_the_one_networkx_reads(self):
+        from networkx.generators.atlas import ATLAS_FILE
+
+        assert os.path.samefile(families._atlas_file(), ATLAS_FILE)
+
+    def test_missing_networkx_names_the_package(self, monkeypatch):
+        monkeypatch.setattr(families, "find_spec", lambda name: None)
+        with pytest.raises(FileNotFoundError, match="networkx"):
+            connected_graphs(3)
+
     def test_connected_graphs_rejects_orders_beyond_the_atlas(self):
         with pytest.raises(ValueError):
             connected_graphs(8)
@@ -94,3 +109,17 @@ class TestEnumerations:
     def test_pair_set_enumeration_scales(self):
         g = path_graph(4)
         assert sum(1 for _ in all_pair_sets(g)) == 2**6
+
+
+# A prelude that makes networkx's spec lookup fail, as if it were not installed.
+HIDE_NETWORKX = (
+    "import importlib.util; real = importlib.util.find_spec; "
+    "importlib.util.find_spec = lambda name, *a: None if name == 'networkx' else real(name, *a); "
+)
+
+
+@pytest.mark.parametrize("prelude", ["", HIDE_NETWORKX], ids=["installed", "spec-missing"])
+def test_import_does_not_load_networkx(prelude):
+    # A fresh interpreter: this test process has networkx loaded already.
+    code = prelude + "import sys, rvckit, rvckit.cli; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -49,9 +49,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, frozenset({(2, 1)}))
 
-    @pytest.mark.parametrize("edge", [(0, True), (False, 2), (0, 1.0)])
+    @pytest.mark.parametrize("edge", [(0, True), (False, 2), (0, 1.0), (0, "1")])
     def test_from_edges_rejects_non_int_ids(self, edge):
-        # True == 1, so (0, True) would otherwise alias the edge (0, 1).
+        # True == 1, so (0, True) would otherwise alias the edge (0, 1); a str
+        # id does not even compare with an int, and must not raise TypeError.
         with pytest.raises(ValueError):
             graph_from_edges(4, [edge, (1, 2), (2, 3)])
 
