@@ -49,7 +49,7 @@ for i in range(3):
 # A witness for the source lifts to rainbow-connect the whole gadget, and
 # restricting the lift to the base recovers the witness.
 res = decide_subset_rvc(p3, p, 2)
-ck = lift_coloring(p3, p, 2, res.witness, gadget=gg)
+ck = lift_coloring(gg, res.witness)
 print("\nlift rainbow-connects the gadget:", is_rainbow_vertex_connected(gg.graph, ck))
 print("projected back:", list(project_coloring(gg, ck).colors))
 

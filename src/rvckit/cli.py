@@ -75,6 +75,24 @@ def _coloring_arg(value: str, g: Graph) -> VertexColoring:
     return col
 
 
+def _required_pairs(args, g: Graph, pairs: PairSet | None) -> PairSet:
+    """--pairs when given, else the file's pairs; one of them must be there."""
+    if args.pairs is not None:
+        pairs = _pairs_arg(args.pairs, g)
+    if pairs is None:
+        raise InstanceFormatError("no requested pairs: give 'pairs' in the file or --pairs")
+    return pairs
+
+
+def _required_coloring(args, g: Graph, col: VertexColoring | None) -> VertexColoring:
+    """--coloring when given, else the file's coloring; one of them must be there."""
+    if args.coloring is not None:
+        col = _coloring_arg(args.coloring, g)
+    if col is None:
+        raise InstanceFormatError("no coloring: give 'coloring' in the file or --coloring")
+    return col
+
+
 def _coloring_line(witness: VertexColoring | None) -> str:
     if witness is None:
         return "coloring = none"
@@ -119,10 +137,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_subset(args) -> int:
     g, pairs, _ = parse_instance(_read_file(args.input))
-    if args.pairs is not None:
-        pairs = _pairs_arg(args.pairs, g)
-    if pairs is None:
-        raise InstanceFormatError("no requested pairs: give 'pairs' in the file or --pairs")
+    pairs = _required_pairs(args, g, pairs)
     result = decide_subset_rvc(g, pairs, args.k)
     if result.decision:
         print("yes")
@@ -138,10 +153,7 @@ def _cmd_verify(args) -> int:
     g, pairs, col = parse_instance(_read_file(args.input))
     if args.pairs is not None:
         pairs = _pairs_arg(args.pairs, g)
-    if args.coloring is not None:
-        col = _coloring_arg(args.coloring, g)
-    if col is None:
-        raise InstanceFormatError("no coloring: give 'coloring' in the file or --coloring")
+    col = _required_coloring(args, g, col)
     unserved = first_unserved_pair(g, col, pairs)
     if unserved is None:
         print("yes")
@@ -153,10 +165,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gadget(args) -> int:
     g, pairs, _ = parse_instance(_read_file(args.input))
-    if args.pairs is not None:
-        pairs = _pairs_arg(args.pairs, g)
-    if pairs is None:
-        raise InstanceFormatError("no requested pairs: give 'pairs' in the file or --pairs")
+    pairs = _required_pairs(args, g, pairs)
     gg = build_gadget(g, pairs, args.k)
     _write_or_print(emit_gadget(gg), args.out)
     if args.dot:
@@ -167,16 +176,10 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_lift(args) -> int:
     g, pairs, col = parse_instance(_read_file(args.input))
-    if args.pairs is not None:
-        pairs = _pairs_arg(args.pairs, g)
-    if pairs is None:
-        raise InstanceFormatError("no requested pairs: give 'pairs' in the file or --pairs")
-    if args.coloring is not None:
-        col = _coloring_arg(args.coloring, g)
-    if col is None:
-        raise InstanceFormatError("no coloring: give 'coloring' in the file or --coloring")
+    pairs = _required_pairs(args, g, pairs)
+    col = _required_coloring(args, g, col)
     gg = build_gadget(g, pairs, args.k)
-    ck = lift_coloring(g, pairs, args.k, col, gadget=gg)
+    ck = lift_coloring(gg, col)
     labels = [label_text(lab, gg.k) for lab in gg.labels]
     _write_or_print(
         emit_instance(gg.graph, pairs=gg.pairs_k, coloring=ck, labels=labels), args.out

@@ -23,10 +23,12 @@ Vertex labels are structured tuples:
     ("base", i)            base-layer copy of source vertex i
 
 Construction for levels 2 and 3 is explicit; every higher level is built in
-a loop that splits the previous base layer in two, two levels per step, so
-that step is the only code path above 3.  Vertex ids are assigned level by
-level (hub first, then rungs by index, shortcut rungs by pair, base last),
-which keeps emitted files and golden tests stable.
+a loop that splits the previous base layer in two, two levels per step.
+That loop in ``_structure`` is the only level loop.  Everything else about
+a vertex is a closed form of its label and k: its level (``label_level``),
+its id order (level by level: hub first, then rungs by index, shortcut
+rungs by pair, base last), which keeps emitted files and golden tests
+stable, and its color in the lift of a source coloring (``_lift_color``).
 """
 
 from __future__ import annotations
@@ -207,15 +209,32 @@ def label_level(label, k: int) -> int:
     return k  # base
 
 
-def _label_sort_key(label, k: int):
+def _lift_color(label, k: int, c: VertexColoring) -> int:
+    """Color of a labelled vertex in the level-k lift of c.
+
+    The rung ("v", i, lvl, a) takes lvl + a, the two highest colors of the
+    level lvl + 2 that added it; the shortcut rung ("w", i, j, a) takes
+    a + k % 2.  The hub, and at odd k the second half of each level-0 rung,
+    take k - 1; the first half of a "u" rung takes 1.  The base layer
+    copies c.
+    """
     kind = label[0]
+    if kind == "base":
+        return c.colors[label[1]]
     if kind == "hub":
-        return (-1, 0, 0, 0, 0)
-    if kind == "v":
-        return (label[2], 0, label[1], 0, label[3])
-    if kind in ("u", "w"):
-        return (label_level(label, k), 1, label[1], label[2], label[3])
-    return (k, 0, label[1], 0, 0)
+        return k - 1
+    if kind == "w":
+        return label[3] + k % 2
+    if kind == "u":
+        return 1 if label[3] == 1 else k - 1
+    if k % 2 == 1 and label[2:] == (0, 2):
+        return k - 1
+    return label[2] + label[3]
+
+
+def _label_sort_key(label, k: int):
+    """Id order: by level, rungs of source vertices before rungs of pairs, then by label."""
+    return (label_level(label, k), label[0] in ("u", "w")) + label[1:]
 
 
 def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
@@ -235,75 +254,20 @@ def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     return GadgetGraph(graph, k, tuple(ordered), base, pairs_k, base_edges)
 
 
-def _label_colors(g: Graph, p: PairSet, k: int, c: VertexColoring) -> dict:
-    """Color of every labelled vertex for the level-k lift of c.
+def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:
+    """Lift a coloring of the source graph onto the gadget gg.
 
-    Built up from the level-2 or level-3 base case, two levels per step;
-    each step keeps the colors below it and gives the new rung the two
-    highest colors of its level.  The base layer copies c.
+    When c makes every requested pair rainbow connected in the source graph,
+    the lift makes the whole gadget rainbow vertex-connected with the same
+    budget gg.k.  Every vertex's color follows from its label alone.
     """
-    n = g.n
-    nonpairs = nonrequested_pairs(n, p)
-    if k % 2 == 0:
-        out = {("hub",): 1}
-        for i in range(n):
-            out[("v", i, 0, 1)] = 1
-            out[("v", i, 0, 2)] = 2
-        for i, j in nonpairs:
-            out[("w", i, j, 1)] = 1
-            out[("w", i, j, 2)] = 2
-        level = 2
-    else:
-        out = {}
-        for i in range(n):
-            out[("v", i, 0, 1)] = 1
-            out[("v", i, 0, 2)] = 2
-            out[("v", i, 1, 1)] = 2
-            out[("v", i, 1, 2)] = 3
-        for i, j in nonpairs:
-            out[("u", i, j, 1)] = 1
-            out[("u", i, j, 2)] = 2
-            out[("w", i, j, 1)] = 2
-            out[("w", i, j, 2)] = 3
-        level = 3
-    while level < k:
-        level += 2
-        if level % 2 == 0:
-            out[("hub",)] = level - 1
-        else:
-            for i in range(n):
-                out[("v", i, 0, 2)] = level - 1
-            for i, j in nonpairs:
-                out[("u", i, j, 2)] = level - 1
-        for i in range(n):
-            out[("v", i, level - 2, 1)] = level - 1
-            out[("v", i, level - 2, 2)] = level
-    for i in range(n):
-        out[("base", i)] = c.colors[i]
-    return out
-
-
-def lift_coloring(
-    g: Graph, p: PairSet, k: int, c: VertexColoring, gadget: GadgetGraph | None = None
-) -> VertexColoring:
-    """Lift a coloring of g onto the level-k gadget.
-
-    When c makes every pair in p rainbow connected in g, the lift makes the
-    whole gadget rainbow vertex-connected with the same budget.  Rungs get the
-    two highest colors of their level, lower levels keep their colors from
-    the previous lift, and the base layer copies c.
-    """
-    check_total_coloring(g, c)
-    if k < 2:
-        raise ValueError("gadget levels start at k = 2")
-    if max(c.colors) > k:
-        raise ValueError(f"coloring uses color {max(c.colors)}, outside budget {k}")
-    if gadget is None:
-        gadget = build_gadget(g, p, k)
-    elif gadget.k != k:
-        raise ValueError(f"gadget was built for level {gadget.k}, not {k}")
-    by_label = _label_colors(g, p, k, c)
-    return VertexColoring(tuple(by_label[lab] for lab in gadget.labels), k)
+    if len(c.colors) != gg.source_n:
+        raise ValueError(
+            f"coloring has {len(c.colors)} entries, source graph has {gg.source_n} vertices"
+        )
+    if max(c.colors) > gg.k:
+        raise ValueError(f"coloring uses color {max(c.colors)}, outside budget {gg.k}")
+    return VertexColoring(tuple(_lift_color(lab, gg.k, c) for lab in gg.labels), gg.k)
 
 
 def project_coloring(gg: GadgetGraph, ck: VertexColoring) -> VertexColoring:

@@ -8,7 +8,6 @@ sees one canonical form.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -187,20 +186,8 @@ def distance(g: Graph, u: int, v: int):
     """BFS distance between u and v; INFINITY when v is unreachable."""
     g.check_vertex(u)
     g.check_vertex(v)
-    if u == v:
-        return 0
-    seen = [False] * g.n
-    seen[u] = True
-    frontier = deque([(u, 0)])
-    while frontier:
-        x, d = frontier.popleft()
-        for y in g.neighbors(x):
-            if y == v:
-                return d + 1
-            if not seen[y]:
-                seen[y] = True
-                frontier.append((y, d + 1))
-    return INFINITY
+    d = distances_from(g, u)[v]
+    return INFINITY if d is None else d
 
 
 def distances_from(g: Graph, s: int) -> list:

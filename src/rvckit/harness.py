@@ -20,6 +20,7 @@ from .families import all_pair_sets, connected_graphs
 from .gadgets import (
     GadgetGraph,
     build_gadget,
+    label_level,
     lift_coloring,
     pendant_reduction,
     project_coloring,
@@ -149,7 +150,7 @@ def check_lift_validity(
     if not result.decision:
         return ClaimReport("lift-validity", instance, "skip", "no witness coloring exists")
     gg = gadget if gadget is not None else _cached_gadget(g, p, k)
-    ck = lift_coloring(g, p, k, result.witness, gadget=gg)
+    ck = lift_coloring(gg, result.witness)
     unserved = first_unserved_pair(gg.graph, ck)
     if unserved is None:
         return ClaimReport("lift-validity", instance, "pass")
@@ -233,15 +234,20 @@ def corrupt_shortcut(gg: GadgetGraph) -> GadgetGraph | None:
 
 
 def corrupt_unhook(gg: GadgetGraph) -> GadgetGraph | None:
-    """Detach the shortcut rung of the first non-requested pair."""
+    """Detach the shortcut rung of the first non-requested pair from the levels above it."""
     for i, j in combinations(range(gg.source_n), 2):
         if normalize_pair(gg.base[i], gg.base[j]) in gg.pairs_k:
             continue
         index = _label_index(gg)
-        drop = {
-            normalize_pair(gg.base[i], index[("w", i, j, 1)]),
-            normalize_pair(gg.base[j], index[("w", i, j, 2)]),
-        }
+        drop = []
+        for a in (1, 2):
+            x = index[("w", i, j, a)]
+            level = label_level(gg.labels[x], gg.k)
+            drop += [
+                (x, y)
+                for y in gg.graph.neighbors(x)
+                if label_level(gg.labels[y], gg.k) > level
+            ]
         graph = remove_edges(gg.graph, drop)
         return GadgetGraph(graph, gg.k, gg.labels, gg.base, gg.pairs_k, gg.base_edges)
     return None

@@ -169,10 +169,7 @@ def parse_label(text: str, k: int) -> tuple:
         return ("hub",)
     m = _RUNG_RE.match(text)
     if m:
-        kind, i, j, a = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
-        if kind == "v":
-            return ("v", i, j, a)
-        return (kind, i, j, a)
+        return (m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4)))
     m = _BASE_RE.match(text)
     if m:
         i, lvl = int(m.group(1)), int(m.group(2))

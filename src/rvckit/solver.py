@@ -164,18 +164,6 @@ def _adjacency_masks(g: Graph) -> list:
     return masks
 
 
-def _candidate_sets(g: Graph, p: PairSet, max_len: int):
-    """Yield, per non-adjacent pair of p, its induced-path internal sets as bitmasks.
-
-    These are the sets the decision core enumerates for each pair it keeps.
-    """
-    adj = _adjacency_masks(g)
-    dist_to = _target_rows(g, p)
-    for a, b in p:
-        if not g.has_edge(a, b):
-            yield _induced_path_sets(g, adj, dist_to[b], a, b, max_len)
-
-
 def _target_rows(g: Graph, p: PairSet) -> dict:
     """BFS distance rows from the targets of p, the larger vertex of each pair."""
     return {b: distances_from(g, b) for _, b in p.pairs}

@@ -265,6 +265,26 @@ class TestUsageAndErrors:
         assert cli_main(["solve", "-i", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["subset", "-k", "2"],
+            ["gadget", "-k", "2"],
+            ["lift", "-k", "2", "--coloring", "[1, 1, 1, 1, 1]"],
+        ],
+        ids=["subset", "gadget", "lift"],
+    )
+    def test_missing_pairs_exits_two(self, p5_file, args, capsys):
+        assert cli_main([args[0], "-i", p5_file] + args[1:]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no requested pairs: give 'pairs' in the file or --pairs\n"
+
+    @pytest.mark.parametrize("args", [["verify"], ["lift", "-k", "2"]], ids=["verify", "lift"])
+    def test_missing_coloring_exits_two(self, p3_file, args, capsys):
+        assert cli_main([args[0], "-i", p3_file] + args[1:]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no coloring: give 'coloring' in the file or --coloring\n"
+
     def test_semantic_errors_exit_two(self, tmp_path, capsys):
         path = tmp_path / "split.json"
         path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')

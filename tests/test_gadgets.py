@@ -199,7 +199,7 @@ class TestLiftColoring:
             for k in range(2, 8):
                 c = coloring(list(colors), k)
                 gg = build_gadget(g, p, k)
-                ck = lift_coloring(g, p, k, c, gadget=gg)
+                ck = lift_coloring(gg, c)
                 for vid, lab in enumerate(gg.labels):
                     assert ck.colors[vid] == expected_lift_color(lab, k, colors), (
                         k,
@@ -210,7 +210,7 @@ class TestLiftColoring:
         g = path_graph(3)
         p = pair_set([(0, 2)])
         gg = build_gadget(g, p, 2)
-        ck = lift_coloring(g, p, 2, coloring([1, 1, 1], k=2), gadget=gg)
+        ck = lift_coloring(gg, coloring([1, 1, 1], k=2))
         by_label = {lab: ck.colors[vid] for vid, lab in enumerate(gg.labels)}
         assert by_label[("hub",)] == 1
         assert by_label[("v", 0, 0, 1)] == 1 and by_label[("v", 0, 0, 2)] == 2
@@ -224,28 +224,27 @@ class TestLiftColoring:
             res = decide_subset_rvc(g, p, k)
             assert res.decision
             gg = build_gadget(g, p, k)
-            ck = lift_coloring(g, p, k, res.witness, gadget=gg)
+            ck = lift_coloring(gg, res.witness)
             assert is_rainbow_vertex_connected(gg.graph, ck)
 
     def test_rejects_colors_over_budget(self):
         g = path_graph(3)
         p = pair_set([(0, 2)])
         with pytest.raises(ValueError):
-            lift_coloring(g, p, 2, coloring([1, 3, 1], k=3))
+            lift_coloring(build_gadget(g, p, 2), coloring([1, 3, 1], k=3))
 
-    def test_rejects_mismatched_gadget_level(self):
-        g = path_graph(3)
-        p = pair_set([(0, 2)])
-        gg = build_gadget(g, p, 3)
-        with pytest.raises(ValueError):
-            lift_coloring(g, p, 2, coloring([1, 1, 1], k=2), gadget=gg)
+    def test_rejects_coloring_of_wrong_length(self):
+        gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 3)
+        for colors in ([1, 1], [1, 1, 1, 1]):
+            with pytest.raises(ValueError, match="entries"):
+                lift_coloring(gg, coloring(colors, k=3))
 
     def test_project_restricts_to_base(self):
         g = path_graph(3)
         p = pair_set([(0, 2)])
         c = coloring([1, 1, 1], k=2)
         gg = build_gadget(g, p, 2)
-        ck = lift_coloring(g, p, 2, c, gadget=gg)
+        ck = lift_coloring(gg, c)
         assert project_coloring(gg, ck) == c
 
     def test_levels_deeper_than_the_recursion_limit(self):
@@ -258,7 +257,7 @@ class TestLiftColoring:
             gg = build_gadget(g, p, k)
             assert gg.graph.n == base_size + 4 * ((k - 2) // 2)
             c = coloring([1, 2], k)
-            ck = lift_coloring(g, p, k, c, gadget=gg)
+            ck = lift_coloring(gg, c)
             assert ck.colors == tuple(expected_lift_color(lab, k, c.colors) for lab in gg.labels)
             assert project_coloring(gg, ck) == c
 
@@ -302,7 +301,7 @@ def test_lift_keeps_every_gadget_pair_connected(g, k):
     if not res.decision:
         return
     gg = build_gadget(g, p, k)
-    ck = lift_coloring(g, p, k, res.witness, gadget=gg)
+    ck = lift_coloring(gg, res.witness)
     for a in range(gg.graph.n):
         for b in range(a + 1, gg.graph.n):
             assert exists_rainbow_path(gg.graph, ck, a, b) is not None

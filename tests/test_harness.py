@@ -88,14 +88,14 @@ class TestChecksOnHealthyGadgets:
 
 
 class TestCorruptions:
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_shortcut_breaks_pair_distance(self, k):
         bad = corrupt_shortcut(small_gadget(k))
         r = check_pair_distances(bad)
         assert r.status == "fail"
         assert "distance" in r.detail
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_unhook_breaks_nonpair_distance(self, k):
         bad = corrupt_unhook(small_gadget(k))
         r = check_nonpair_distances(bad)
@@ -113,7 +113,7 @@ class TestCorruptions:
             if bad is None:
                 continue
             r = check_lift_validity(g, p, k, gadget=bad)
-            ck = lift_coloring(g, p, k, decide_subset_rvc(g, p, k).witness, gadget=bad)
+            ck = lift_coloring(bad, decide_subset_rvc(g, p, k).witness)
             least = least_unserved_pair(bad.graph, ck)
             if least is None:
                 assert r.status == "pass"
