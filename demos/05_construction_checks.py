@@ -16,6 +16,7 @@ from rvckit import (
     corrupt_base_cut,
     corrupt_shortcut,
     corrupt_unhook,
+    decide_subset_rvc,
     pair_set,
     path_graph,
     run_suite,
@@ -33,6 +34,7 @@ for r in reports[:3]:
 g = path_graph(3)
 p = pair_set([(0, 1)])
 gg = build_gadget(g, p, 2)
+witness = decide_subset_rvc(g, p, 2).witness  # a source coloring to lift
 
 shortcut = corrupt_shortcut(gg)  # an edge that undercuts a requested detour
 print("\nshortcut corruption:", check_pair_distances(shortcut, "demo").detail)
@@ -41,12 +43,12 @@ unhooked = corrupt_unhook(gg)  # detaches a non-requested pair's shortcut
 print("unhook corruption:", check_nonpair_distances(unhooked, "demo").detail)
 
 cut = corrupt_base_cut(gg)  # removes a requested base edge
-print("base-cut corruption:", check_lift_validity(g, p, 2, gadget=cut).detail)
+print("base-cut corruption:", check_lift_validity(cut, witness, "demo").detail)
 
 # The healthy gadget passes all three, of course.
 print(
     "\nhealthy gadget:",
     check_pair_distances(gg, "demo").status,
     check_nonpair_distances(gg, "demo").status,
-    check_lift_validity(g, p, 2).status,
+    check_lift_validity(gg, witness, "demo").status,
 )

@@ -105,6 +105,18 @@ def _decision_exit(decision: bool, args) -> int:
     return 0 if decision else 1
 
 
+def _report_decision(result, args, g: Graph, pairs: PairSet | None = None) -> int:
+    """Print yes and the witness, or no; write the witness instance to -o on a yes."""
+    if result.decision:
+        print("yes")
+        print(_coloring_line(result.witness))
+        if args.out and result.witness is not None:
+            _write_or_print(emit_instance(g, pairs=pairs, coloring=result.witness), args.out)
+    else:
+        print("no")
+    return _decision_exit(result.decision, args)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -124,29 +136,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decide(args) -> int:
     g, _, _ = parse_instance(_read_file(args.input))
-    result = decide_rvc_le_k(g, args.k)
-    if result.decision:
-        print("yes")
-        print(_coloring_line(result.witness))
-        if args.out and result.witness is not None:
-            _write_or_print(emit_instance(g, coloring=result.witness), args.out)
-    else:
-        print("no")
-    return _decision_exit(result.decision, args)
+    return _report_decision(decide_rvc_le_k(g, args.k), args, g)
 
 
 def _cmd_subset(args) -> int:
     g, pairs, _ = parse_instance(_read_file(args.input))
     pairs = _required_pairs(args, g, pairs)
-    result = decide_subset_rvc(g, pairs, args.k)
-    if result.decision:
-        print("yes")
-        print(_coloring_line(result.witness))
-        if args.out and result.witness is not None:
-            _write_or_print(emit_instance(g, pairs=pairs, coloring=result.witness), args.out)
-    else:
-        print("no")
-    return _decision_exit(result.decision, args)
+    return _report_decision(decide_subset_rvc(g, pairs, args.k), args, g, pairs)
 
 
 def _cmd_verify(args) -> int:
@@ -190,14 +186,7 @@ def _cmd_lift(args) -> int:
 def _cmd_project(args) -> int:
     text = _read_file(args.input)
     gg = parse_gadget(text)
-    if args.coloring is not None:
-        ck = _coloring_arg(args.coloring, gg.graph)
-    else:
-        _, _, ck = parse_instance(text)
-        if ck is None:
-            raise InstanceFormatError(
-                "project needs a coloring: none in the file and no --coloring given"
-            )
+    ck = _required_coloring(args, gg.graph, parse_instance(text)[2])
     c = project_coloring(gg, ck)
     index = {vid: i for i, vid in enumerate(gg.base)}
     source = graph_from_edges(

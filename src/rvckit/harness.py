@@ -5,6 +5,11 @@ of instances want to keep going and aggregate.  A failing report always
 carries a concrete counterexample that can be re-checked by hand from the
 instance description.
 
+Each gadget check takes the gadget it inspects, so a corrupted gadget is
+checked like a built one.  ``run_suite`` is the one runner: it passes the
+(check, g, p, k) jobs of ``suite_jobs`` to ``run_check``, which builds what
+each named check takes from the source instance.
+
 The corruption helpers exist so the checks themselves stay honest: each check
 must fail when the gadget it inspects is broken in a targeted way, otherwise
 it is testing nothing.
@@ -12,7 +17,7 @@ it is testing nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -29,6 +34,7 @@ from .graphs import (
     INFINITY,
     Graph,
     PairSet,
+    VertexColoring,
     adjacency_distances,
     graph_from_edges,
     normalize_pair,
@@ -138,20 +144,16 @@ def check_path_confinement(gg: GadgetGraph, instance: str = "") -> ClaimReport:
 
 
 def check_lift_validity(
-    g: Graph, p: PairSet, k: int, gadget: GadgetGraph | None = None
+    gg: GadgetGraph, witness: VertexColoring | None, instance: str = ""
 ) -> ClaimReport:
-    """A witness coloring for (g, p, k) lifts to rainbow-connect the gadget.
+    """A source witness coloring, lifted onto the gadget, rainbow-connects it.
 
-    Skipped when (g, p, k) has no witness at all.  Passing a pre-built (or
-    deliberately corrupted) gadget overrides the freshly built one.
+    ``witness`` colors the source graph the gadget was built from; None means
+    the source instance has no witness at all, and the check is skipped.
     """
-    instance = describe_instance(g, p, k)
-    result = decide_subset_rvc(g, p, k)
-    if not result.decision:
+    if witness is None:
         return ClaimReport("lift-validity", instance, "skip", "no witness coloring exists")
-    gg = gadget if gadget is not None else _cached_gadget(g, p, k)
-    ck = lift_coloring(gg, result.witness)
-    unserved = first_unserved_pair(gg.graph, ck)
+    unserved = first_unserved_pair(gg.graph, lift_coloring(gg, witness))
     if unserved is None:
         return ClaimReport("lift-validity", instance, "pass")
     return ClaimReport(
@@ -229,8 +231,7 @@ def corrupt_shortcut(gg: GadgetGraph) -> GadgetGraph | None:
     rung = _label_index(gg)[("v", i, gg.k - 2, 1)]
     edges = set(gg.graph.edges)
     edges.add(normalize_pair(rung, b))
-    graph = graph_from_edges(gg.graph.n, edges)
-    return GadgetGraph(graph, gg.k, gg.labels, gg.base, gg.pairs_k, gg.base_edges)
+    return replace(gg, graph=graph_from_edges(gg.graph.n, edges))
 
 
 def corrupt_unhook(gg: GadgetGraph) -> GadgetGraph | None:
@@ -248,8 +249,7 @@ def corrupt_unhook(gg: GadgetGraph) -> GadgetGraph | None:
                 for y in gg.graph.neighbors(x)
                 if label_level(gg.labels[y], gg.k) > level
             ]
-        graph = remove_edges(gg.graph, drop)
-        return GadgetGraph(graph, gg.k, gg.labels, gg.base, gg.pairs_k, gg.base_edges)
+        return replace(gg, graph=remove_edges(gg.graph, drop))
     return None
 
 
@@ -263,10 +263,7 @@ def corrupt_base_cut(gg: GadgetGraph) -> GadgetGraph | None:
     """
     for e in sorted(gg.base_edges):
         if e in gg.pairs_k:
-            graph = remove_edges(gg.graph, [e])
-            return GadgetGraph(
-                graph, gg.k, gg.labels, gg.base, gg.pairs_k, gg.base_edges - {e}
-            )
+            return replace(gg, graph=remove_edges(gg.graph, [e]), base_edges=gg.base_edges - {e})
     return None
 
 
@@ -286,43 +283,22 @@ _CHECKS = (
 
 def run_check(check: str, g: Graph, p: PairSet | None, k: int, cap: int = 18) -> ClaimReport:
     """Run one named check on one instance."""
-    if check == "pair-distance":
-        return check_pair_distances(_cached_gadget(g, p, k), describe_instance(g, p, k))
-    if check == "nonpair-distance":
-        return check_nonpair_distances(_cached_gadget(g, p, k), describe_instance(g, p, k))
-    if check == "confinement":
-        return check_path_confinement(_cached_gadget(g, p, k), describe_instance(g, p, k))
+    instance = describe_instance(g, p, k)
+    gadget_checks = {
+        "pair-distance": check_pair_distances,
+        "nonpair-distance": check_nonpair_distances,
+        "confinement": check_path_confinement,
+    }
+    if check in gadget_checks:
+        return gadget_checks[check](_cached_gadget(g, p, k), instance)
     if check == "lift-validity":
-        return check_lift_validity(g, p, k)
+        witness = decide_subset_rvc(g, p, k).witness
+        return check_lift_validity(_cached_gadget(g, p, k), witness, instance)
     if check == "equivalence":
         return check_reduction_equivalence(g, p, k, cap=cap)
     if check == "pendant-equivalence":
         return check_pendant_equivalence(g, k)
     raise ValueError(f"unknown check {check!r}; expected one of {', '.join(_CHECKS)}")
-
-
-def _run_work(work, jobs: int) -> list:
-    """Run (check, g, p, k, cap) items, over a process pool when jobs > 1.
-
-    The serial path looks ``run_check`` up in this module on every item, so
-    a wrapper installed on the module attribute sees each check.
-    """
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            reports = pool.starmap(run_check, work, chunksize=16)
-    else:
-        reports = [run_check(*item) for item in work]
-    return sorted(reports, key=lambda r: (r.check, r.instance, r.status))
-
-
-def run_sweep(instances, checks, cap: int = 18, jobs: int = 1) -> list:
-    """Run the named checks over (g, p, k) instances; reports come back sorted."""
-    for check in checks:
-        if check not in _CHECKS:
-            raise ValueError(f"unknown check {check!r}; expected one of {', '.join(_CHECKS)}")
-    return _run_work([(check, g, p, k, cap) for g, p, k in instances for check in checks], jobs)
 
 
 def gadget_sweep_instances(max_n: int, ks) -> list:
@@ -370,38 +346,36 @@ def _gadget_jobs(max_n: int, lift_max_k: int) -> list:
     return jobs
 
 
-def suite_jobs(name: str, cap: int = 18) -> list:
+def suite_jobs(name: str) -> list:
     """Instances and checks for a named sweep suite.
 
     Returns (check, g, p, k) tuples.  "core" is a fast smoke pass; "full" is
-    the complete sweep the acceptance tests run: the distances, confinement,
-    lift, equivalence and pendant suites combined.
+    the complete sweep the acceptance tests run.  The other suites are parts
+    of "full": "distances", "confinement" and "lift" keep its gadget jobs of
+    those checks, in order, and "equivalence" and "pendant" are its tail.
     """
-    def expand(instances, checks):
-        return [(check, g, p, k) for g, p, k in instances for check in checks]
+    def expand(instances, check):
+        return [(check, g, p, k) for g, p, k in instances]
 
-    if name == "distances":
-        return expand(gadget_sweep_instances(4, (2, 3, 4, 5)), ("pair-distance", "nonpair-distance"))
-    if name == "confinement":
-        return expand(gadget_sweep_instances(4, (2, 3)), ("confinement",))
-    if name == "lift":
-        return expand(gadget_sweep_instances(4, (2, 3, 4, 5)), ("lift-validity",))
+    parts = {
+        "distances": ("pair-distance", "nonpair-distance"),
+        "confinement": ("confinement",),
+        "lift": ("lift-validity",),
+    }
+    if name in parts:
+        return [job for job in _gadget_jobs(4, lift_max_k=5) if job[0] in parts[name]]
     if name == "equivalence":
-        return expand(equivalence_fixture_instances(), ("equivalence",))
+        return expand(equivalence_fixture_instances(), "equivalence")
     if name == "pendant":
-        return expand(pendant_sweep_instances(5), ("pendant-equivalence",))
+        return expand(pendant_sweep_instances(5), "pendant-equivalence")
     if name == "core":
         return (
             _gadget_jobs(3, lift_max_k=3)
-            + suite_jobs("equivalence", cap)
-            + expand(pendant_sweep_instances(4), ("pendant-equivalence",))
+            + suite_jobs("equivalence")
+            + expand(pendant_sweep_instances(4), "pendant-equivalence")
         )
     if name == "full":
-        return (
-            _gadget_jobs(4, lift_max_k=5)
-            + suite_jobs("equivalence", cap)
-            + suite_jobs("pendant", cap)
-        )
+        return _gadget_jobs(4, lift_max_k=5) + suite_jobs("equivalence") + suite_jobs("pendant")
     raise ValueError(f"unknown suite {name!r}")
 
 
@@ -409,5 +383,18 @@ SUITE_NAMES = ("core", "full", "distances", "confinement", "lift", "equivalence"
 
 
 def run_suite(name: str, cap: int = 18, jobs: int = 1) -> list:
-    """Run a named suite and return its sorted reports."""
-    return _run_work([(check, g, p, k, cap) for check, g, p, k in suite_jobs(name, cap)], jobs)
+    """Run a named suite and return its reports, sorted.
+
+    Checks run over a process pool when jobs > 1.  The serial path looks
+    ``run_check`` up in this module on every item, so a wrapper installed on
+    the module attribute sees each check.
+    """
+    work = [(check, g, p, k, cap) for check, g, p, k in suite_jobs(name)]
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
+            reports = pool.starmap(run_check, work, chunksize=16)
+    else:
+        reports = [run_check(*item) for item in work]
+    return sorted(reports, key=lambda r: (r.check, r.instance, r.status))

@@ -11,8 +11,8 @@ from itertools import combinations
 from oracles import oracle_pair_mask_table
 
 from rvckit.families import connected_graphs_of_order, cycle_graph, path_graph
-from rvckit.gadgets import build_gadget, lift_coloring, project_coloring
-from rvckit.graphs import all_vertex_pairs, diameter, is_complete, pair_set
+from rvckit.gadgets import build_gadget, project_coloring
+from rvckit.graphs import diameter, is_complete, pair_set
 from rvckit.harness import (
     check_lift_validity,
     check_nonpair_distances,
@@ -24,7 +24,6 @@ from rvckit.harness import (
     run_suite,
 )
 from rvckit.rainbow import (
-    exists_rainbow_path,
     is_rainbow_vertex_connected,
     is_subset_rainbow_vc,
     path_budget,
@@ -263,8 +262,8 @@ def test_checks_catch_seeded_corruptions(capsys):
         gg = build_gadget(g, p, k)
         caught.append(check_pair_distances(corrupt_shortcut(gg)).status == "fail")
         caught.append(check_nonpair_distances(corrupt_unhook(gg)).status == "fail")
-        bad = corrupt_base_cut(gg)
-        caught.append(check_lift_validity(g, p, k, gadget=bad).status == "fail")
+        witness = decide_subset_rvc(g, p, k).witness
+        caught.append(check_lift_validity(corrupt_base_cut(gg), witness).status == "fail")
     ok = all(caught)
     announce(
         capsys,

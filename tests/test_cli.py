@@ -175,8 +175,8 @@ class TestGadgetLiftProject:
         bare = tmp_path / "bare.json"
         assert cli_main(["gadget", "-i", p3_file, "-k", "2", "-o", str(bare)]) == 0
         assert cli_main(["project", "-i", str(bare)]) == 2
-        captured = capsys.readouterr()
-        assert "needs a coloring" in captured.err
+        err = capsys.readouterr().err
+        assert err == "error: no coloring: give 'coloring' in the file or --coloring\n"
 
 
 class TestReduceLemma1:

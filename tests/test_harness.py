@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -9,6 +10,7 @@ from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import all_vertex_pairs, pair_set
 from rvckit.harness import (
     SUITE_NAMES,
+    ClaimReport,
     check_lift_validity,
     check_nonpair_distances,
     check_pair_distances,
@@ -22,13 +24,23 @@ from rvckit.harness import (
     gadget_sweep_instances,
     run_check,
     run_suite,
-    run_sweep,
     suite_jobs,
 )
 from rvckit.solver import decide_subset_rvc
 
 P3 = path_graph(3)
 P3_PAIR = pair_set([(0, 1)])
+
+# Job count and sha256 of the "<check> <instance>" lines of each suite, in order.
+SUITE_JOBS = {
+    "core": (241, "275ef2ef9e353c060b98ecf499503e33b407a7612c0f747c5f6ad94a1d74c7ea"),
+    "full": (5676, "20fe6766fabe3858c19df6711dd1430d984b775ac2636221d99c59ecacdc44be"),
+    "distances": (3224, "14595b50dbfe71856da9e2e2223a1d9cd866fe6c4ee35516830da2fbf48bc022"),
+    "confinement": (806, "82d0f8da7529ff4829e2871d67bbb6fbabf7e32072b6e946927d6cbbbdedb7ef"),
+    "lift": (1612, "f2cbc9d7ebd3df27b4176e3b6a0417eeb4f00c41967141bdb52104977e45fadd"),
+    "equivalence": (3, "0762e6f5397c4cf63cc57319c7d88c281ca003b83aeed67f6f9b832bf588339d"),
+    "pendant": (31, "6043e66581dbc007bba5d415244cbfff1d0f1a68128a076424051ecf3c7e0d38"),
+}
 
 
 def small_gadget(k):
@@ -66,13 +78,18 @@ class TestChecksOnHealthyGadgets:
         assert check_path_confinement(small_gadget(k)).status == "pass"
 
     def test_lift_validity_passes(self):
-        assert check_lift_validity(P3, P3_PAIR, 2).status == "pass"
+        witness = decide_subset_rvc(P3, P3_PAIR, 2).witness
+        assert check_lift_validity(small_gadget(2), witness).status == "pass"
 
     def test_lift_validity_skips_without_witness(self):
+        r = check_lift_validity(small_gadget(2), None, "demo")
+        assert r == ClaimReport("lift-validity", "demo", "skip", "no witness coloring exists")
+        # Through the sweep: P5 with every pair requested needs more than 2 colors.
         g = path_graph(5)
-        r = check_lift_validity(g, all_vertex_pairs(g), 2)
+        r = run_check("lift-validity", g, all_vertex_pairs(g), 2)
         assert r.status == "skip"
-        assert "no witness" in r.detail
+        assert r.instance == describe_instance(g, all_vertex_pairs(g), 2)
+        assert r.detail == "no witness coloring exists"
 
     def test_equivalence_passes_and_skips_over_cap(self):
         assert check_reduction_equivalence(P3, pair_set([(0, 2)]), 2).status == "pass"
@@ -112,8 +129,9 @@ class TestCorruptions:
             bad = corrupt_base_cut(build_gadget(g, p, k))
             if bad is None:
                 continue
-            r = check_lift_validity(g, p, k, gadget=bad)
-            ck = lift_coloring(bad, decide_subset_rvc(g, p, k).witness)
+            witness = decide_subset_rvc(g, p, k).witness
+            r = check_lift_validity(bad, witness)
+            ck = lift_coloring(bad, witness)
             least = least_unserved_pair(bad.graph, ck)
             if least is None:
                 assert r.status == "pass"
@@ -147,17 +165,6 @@ class TestSweeps:
         with pytest.raises(ValueError):
             run_check("no-such-check", P3, P3_PAIR, 2)
 
-    def test_run_sweep_sorts_reports(self):
-        instances = [(P3, P3_PAIR, 3), (P3, P3_PAIR, 2)]
-        reports = run_sweep(instances, ["nonpair-distance", "pair-distance"])
-        keys = [(r.check, r.instance) for r in reports]
-        assert keys == sorted(keys)
-        assert all(r.status == "pass" for r in reports)
-
-    def test_run_sweep_rejects_unknown_checks(self):
-        with pytest.raises(ValueError):
-            run_sweep([(P3, P3_PAIR, 2)], ["bogus"])
-
     def test_instance_description_is_reconstructible(self):
         text = describe_instance(P3, P3_PAIR, 4)
         assert text == "n=3 edges=[(0, 1), (1, 2)] P=[(0, 1)] k=4"
@@ -167,6 +174,12 @@ class TestSweeps:
             assert len(suite_jobs(name)) > 0
         with pytest.raises(ValueError):
             suite_jobs("bogus")
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_suite_jobs_are_pinned(self, name):
+        jobs = suite_jobs(name)
+        text = "".join(f"{check} {describe_instance(g, p, k)}\n" for check, g, p, k in jobs)
+        assert (len(jobs), hashlib.sha256(text.encode()).hexdigest()) == SUITE_JOBS[name]
 
     def test_full_suite_combines_the_five_suites(self):
         parts = ("distances", "confinement", "lift", "equivalence", "pendant")
@@ -205,6 +218,8 @@ class TestSweeps:
         reports = run_suite("core")
         assert reports
         assert all(r.status == "pass" for r in reports)
+        keys = [(r.check, r.instance) for r in reports]
+        assert keys == sorted(keys)
 
     def test_parallel_matches_serial(self):
         serial = run_suite("equivalence", jobs=1)
