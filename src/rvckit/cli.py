@@ -184,9 +184,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    text = _read_file(args.input)
-    gg = parse_gadget(text)
-    ck = _required_coloring(args, gg.graph, parse_instance(text)[2])
+    gg, ck = parse_gadget(_read_file(args.input))
+    ck = _required_coloring(args, gg.graph, ck)
     c = project_coloring(gg, ck)
     index = {vid: i for i, vid in enumerate(gg.base)}
     source = graph_from_edges(

@@ -213,6 +213,15 @@ def adjacency_distances(adj, s: int) -> list:
     return dist
 
 
+def adjacency_masks(g: Graph) -> list:
+    """Neighbour bitsets: bit y of ``masks[x]`` is set when xy is an edge."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def distance_rows(g: Graph) -> list:
     """The all-pairs distance table: ``rows[u][v]``, None when unreachable."""
     adj = g._adj

@@ -186,8 +186,12 @@ def emit_gadget(gg: GadgetGraph) -> str:
     return emit_instance(gg.graph, pairs=gg.pairs_k, k=gg.k, labels=labels)
 
 
-def parse_gadget(text: str) -> GadgetGraph:
-    """Read a gadget file back into a GadgetGraph."""
+def parse_gadget(text: str) -> tuple[GadgetGraph, VertexColoring | None]:
+    """Read a gadget file into (gadget, coloring).
+
+    ``coloring`` is None when the file has no ``coloring`` key; a lifted
+    coloring is read with the gadget level ``k`` as its budget.
+    """
     obj = _load_object(text)
     g = _parse_graph(obj)
     pairs = _parse_pairs(obj, g)
@@ -206,7 +210,7 @@ def parse_gadget(text: str) -> GadgetGraph:
     base = tuple(base_map[i] for i in range(len(base_map)))
     base_set = set(base)
     base_edges = frozenset(e for e in g.edges if e[0] in base_set and e[1] in base_set)
-    return GadgetGraph(g, k, labels, base, pairs, base_edges)
+    return GadgetGraph(g, k, labels, base, pairs, base_edges), _parse_coloring(obj, g)
 
 
 # ---------------------------------------------------------------------------

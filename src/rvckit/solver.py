@@ -46,6 +46,7 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
+    adjacency_masks,
     distance_rows,
     distances_from,
     is_complete,
@@ -156,14 +157,6 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _adjacency_masks(g: Graph) -> list:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def _target_rows(g: Graph, p: PairSet) -> dict:
     """BFS distance rows from the targets of p, the larger vertex of each pair."""
     return {b: distances_from(g, b) for _, b in p.pairs}
@@ -178,7 +171,7 @@ def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
     pair beyond k+1 has no path a k-coloring can make rainbow.  Every other
     pair's induced paths have at least two internal vertices.
     """
-    adj = _adjacency_masks(g)
+    adj = adjacency_masks(g)
     constraints = []
     for a, b in combinations(range(g.n), 2) if p is None else p:
         dist = dist_to[b]
@@ -288,7 +281,7 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     """Decide whether g has a proper k-coloring, with the same canonical search."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    adj = _adjacency_masks(g)
+    adj = adjacency_masks(g)
     masks = [0] * (k + 1)
 
     def place(v: int, col: int):

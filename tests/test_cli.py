@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rvckit import io as rvckit_io
 from rvckit.cli import _coloring_arg, cli_main
 from rvckit.families import path_graph
 from rvckit.io import parse_gadget, parse_instance
@@ -139,7 +140,8 @@ class TestGadgetLiftProject:
             ["gadget", "-i", p3_file, "-k", "2", "-o", str(out), "--dot", str(dot)]
         )
         assert code == 0
-        gg = parse_gadget(out.read_text())
+        gg, col = parse_gadget(out.read_text())
+        assert col is None
         assert (gg.graph.n, gg.graph.m) == (14, 27)
         assert "penwidth" in dot.read_text()
         capsys.readouterr()
@@ -169,6 +171,25 @@ class TestGadgetLiftProject:
         g, _, col = parse_instance(back.read_text())
         assert g.edges == frozenset({(0, 1), (1, 2)})
         assert col.colors == (1, 1, 1)
+        capsys.readouterr()
+
+    def test_project_decodes_its_input_once(self, p3_file, tmp_path, capsys, monkeypatch):
+        lifted = tmp_path / "lifted.json"
+        args = ["lift", "-i", p3_file, "-k", "2", "--coloring", "[1, 2, 1]", "-o", str(lifted)]
+        assert cli_main(args) == 0
+        decoded = []
+        load = rvckit_io._load_object
+
+        def counted_load(text):
+            decoded.append(text)
+            return load(text)
+
+        monkeypatch.setattr(rvckit_io, "_load_object", counted_load)
+        back = tmp_path / "back.json"
+        assert cli_main(["project", "-i", str(lifted), "-o", str(back)]) == 0
+        assert decoded == [lifted.read_text()]
+        _, _, col = parse_instance(back.read_text())
+        assert col.colors == (1, 2, 1)
         capsys.readouterr()
 
     def test_project_without_any_coloring_fails(self, p3_file, tmp_path, capsys):

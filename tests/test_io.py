@@ -1,7 +1,7 @@
 import pytest
 
 from rvckit.families import complete_graph, path_graph
-from rvckit.gadgets import build_gadget
+from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import EMPTY_PAIRS, all_vertex_pairs, coloring, pair_set
 from rvckit.io import (
     InstanceFormatError,
@@ -118,12 +118,19 @@ class TestGadgetFiles:
     def test_round_trip(self):
         g = path_graph(3)
         gg = build_gadget(g, pair_set([(0, 2)]), 3)
-        assert parse_gadget(emit_gadget(gg)) == gg
+        assert parse_gadget(emit_gadget(gg)) == (gg, None)
 
     def test_round_trip_with_hub(self):
         g = complete_graph(3)
         gg = build_gadget(g, all_vertex_pairs(g), 2)
-        assert parse_gadget(emit_gadget(gg)) == gg
+        assert parse_gadget(emit_gadget(gg)) == (gg, None)
+
+    def test_reads_a_lifted_coloring(self):
+        gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 3)
+        ck = lift_coloring(gg, coloring([1, 2, 1], k=3))
+        labels = [label_text(lab, gg.k) for lab in gg.labels]
+        text = emit_instance(gg.graph, pairs=gg.pairs_k, coloring=ck, labels=labels)
+        assert parse_gadget(text) == (gg, ck)
 
     def test_requires_gadget_keys(self):
         with pytest.raises(InstanceFormatError, match="pairs"):

@@ -11,14 +11,16 @@ from oracles import (
     oracle_is_rainbow,
     oracle_simple_paths,
 )
-from strategies import colored_graphs_st
+from strategies import colored_graphs_st, connected_graphs_st
 
+from rvckit import rainbow
 from rvckit.families import complete_graph, cycle_graph, path_graph, star_graph
 from rvckit.gadgets import build_gadget
 from rvckit.graphs import VertexColoring, coloring, graph_from_edges, pair_set
 from rvckit.harness import gadget_sweep_instances
 from rvckit.rainbow import (
     PathWitness,
+    _serve_from_all_sources,
     exists_rainbow_path,
     first_unserved_pair,
     is_rainbow_path,
@@ -35,10 +37,12 @@ class TestPathBudget:
         assert path_budget(3, 2) == 13
         assert path_budget(2, 1) == 3
         assert path_budget(1, 0) == 1
+        assert path_budget(1, 5) == 6
         assert path_budget(5, 0) == 1
 
     def test_grows_exactly_geometrically(self):
         assert path_budget(10, 3) == 1 + 10 + 100 + 1000
+        assert path_budget(7, 300) == sum(7**i for i in range(301))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -175,6 +179,19 @@ class TestSearchAccounting:
         assert search_stats.violations == 0
 
 
+    def test_verification_counts_states_exactly(self):
+        # P4 colored 1, 2, 3, 1, with sources 0, 1 and 2.  The edges serve
+        # three pairs; the sources 0 and 1 still lack a pair.  Level 1 holds
+        # (0, {1}), (1, {2}) and (2, {3}), which serve (0, 2) and (1, 3);
+        # only source 0 is left, and its state (1, {2}) grows into
+        # (0, {1, 2}) and (2, {2, 3}), which serves (0, 3).  Five states in
+        # all, in either layout.
+        for colors in ([1, 2, 3, 1], [7, 2, 3, 7]):
+            search_stats.reset()
+            assert is_rainbow_vertex_connected(path_graph(4), coloring(colors))
+            assert (search_stats.calls, search_stats.expansions) == (3, 5)
+
+
 @given(colored_graphs_st())
 @settings(max_examples=200, deadline=None)
 def test_existence_matches_unbounded_oracle(gc):
@@ -275,3 +292,116 @@ def test_all_source_search_matches_per_pair_witness_search():
             assert search_stats.calls == len({a for a, _ in wanted})
             assert search_stats.max_expansions <= budget
             assert search_stats.violations == 0
+
+
+def _missing(n, pairs):
+    """The verification search's input: per target, the bitset of requested sources."""
+    if pairs is None:
+        return [(1 << b) - 1 for b in range(n)]
+    missing = [0] * n
+    for a, b in pairs:
+        missing[b] |= 1 << a
+    return missing
+
+
+def _both_layouts(monkeypatch, g, c, pairs):
+    """(missing, expansions, calls) from the dict layout and from the packed one."""
+    out = []
+    # A cut of 0 sends every coloring to the dict layout; 64 packs every one.
+    for cut in (0, 64):
+        monkeypatch.setattr(rainbow, "_DENSE_MAX_COLOR", cut)
+        missing = _missing(g.n, pairs)
+        search_stats.reset()
+        _serve_from_all_sources(g, c, missing)
+        out.append((missing, search_stats.expansions, search_stats.calls))
+    return out
+
+
+def test_packed_and_dict_layouts_agree_on_gadgets(monkeypatch):
+    # A stride of 3 through the sweep's (graph, pairs, level) order visits
+    # all four levels.
+    rng = random.Random(11)
+    deep = 0
+    for g, p, k in gadget_sweep_instances(4, (2, 3, 4, 5))[::3]:
+        gg = build_gadget(g, p, k)
+        h = gg.graph
+        j = rng.randint(1, k)
+        c = VertexColoring(tuple(rng.randint(1, j) for _ in range(h.n)), k)
+        for pairs in (None, gg.pairs_k):
+            dicts, packed = _both_layouts(monkeypatch, h, c, pairs)
+            assert packed == dicts
+            deep += packed[1] > h.n
+    # Level 1 holds at most n states, so these searches went deeper.
+    assert deep > 200
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_packed_and_dict_layouts_agree_on_random_graphs(monkeypatch, k):
+    rng = random.Random(k)
+    for _ in range(8):
+        n = rng.randint(10, 24)
+        g = graph_from_edges(n, [q for q in combinations(range(n), 2) if rng.random() < 0.2])
+        c = VertexColoring(tuple(rng.randint(1, k) for _ in range(n)), k)
+        sample = pair_set(rng.sample(list(combinations(range(n), 2)), n))
+        for pairs in (None, sample):
+            dicts, packed = _both_layouts(monkeypatch, g, c, pairs)
+            assert packed == dicts
+
+
+def test_largest_color_picks_the_layout(monkeypatch):
+    taken = []
+    for name in ("_dense_levels", "_sparse_levels"):
+        levels = getattr(rainbow, name)
+
+        def record(*args, name=name, levels=levels):
+            taken.append(name)
+            return levels(*args)
+
+        monkeypatch.setattr(rainbow, name, record)
+    g = path_graph(4)
+    for colors, k in (([1, 2, 3, 1], 3), ([1, 2, 3, 1], 3000), ([1, 6, 2, 1], 6), ([1, 7, 2, 1], 7)):
+        first_unserved_pair(g, VertexColoring(tuple(colors), k))
+    assert taken == ["_dense_levels", "_dense_levels", "_dense_levels", "_sparse_levels"]
+
+
+@st.composite
+def many_colored_graphs_st(draw):
+    """A colored graph whose largest color is 7 or more, past the packed layout."""
+    g = draw(connected_graphs_st(max_n=7))
+    k = draw(st.integers(7, 9))
+    colors = [draw(st.integers(1, k)) for _ in range(g.n)]
+    colors[draw(st.integers(0, g.n - 1))] = draw(st.integers(7, k))
+    return g, VertexColoring(tuple(colors), k)
+
+
+@given(many_colored_graphs_st(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dict_layout_matches_oracle(gc, data):
+    g, c = gc
+    assert max(c.colors) > rainbow._DENSE_MAX_COLOR
+    universe = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    chosen = data.draw(st.lists(st.sampled_from(universe), unique=True))
+    served = {q for q in universe if oracle_exists_rainbow_path(g, c, *q)}
+    assert first_unserved_pair(g, c, pair_set(chosen)) == min(set(chosen) - served, default=None)
+    assert first_unserved_pair(g, c) == min(set(universe) - served, default=None)
+
+
+def test_declared_budget_far_above_the_colors_used():
+    # Only colors 1..3 are used, so the search ends after level 3 whatever
+    # the declared budget; the answers and the states match budget 3.
+    rng = random.Random(3000)
+    for g, p, k in gadget_sweep_instances(3, (3,))[::7]:
+        h = build_gadget(g, p, k).graph
+        colors = tuple(rng.randint(1, 3) for _ in range(h.n))
+        got = []
+        for budget in (3, 3000):
+            search_stats.reset()
+            unserved = first_unserved_pair(h, VertexColoring(colors, budget))
+            got.append((unserved, search_stats.expansions))
+        assert got[0] == got[1]
+    g = cycle_graph(7)
+    for colors in ([1, 2, 3, 1, 2, 3, 1], [1, 1, 2, 2, 3, 3, 1]):
+        c = VertexColoring(tuple(colors), 3000)
+        universe = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        served = {q for q in universe if oracle_exists_rainbow_path(g, c, *q)}
+        assert first_unserved_pair(g, c) == min(set(universe) - served, default=None)

@@ -22,10 +22,15 @@ from rvckit.families import (
     path_graph,
     star_graph,
 )
-from rvckit.graphs import all_vertex_pairs, distances_from, graph_from_edges, pair_set
+from rvckit.graphs import (
+    adjacency_masks,
+    all_vertex_pairs,
+    distances_from,
+    graph_from_edges,
+    pair_set,
+)
 from rvckit.rainbow import is_subset_rainbow_vc
 from rvckit.solver import (
-    _adjacency_masks,
     _induced_path_sets,
     chromatic_decision,
     decide_rvc_le_k,
@@ -227,7 +232,7 @@ def test_candidate_sets_are_the_minimal_internal_sets(g, cap, data):
     far = [(a, b) for a, b in all_vertex_pairs(g) if not g.has_edge(a, b)]
     assume(far)
     a, b = data.draw(st.sampled_from(far))
-    sets = _induced_path_sets(g, _adjacency_masks(g), distances_from(g, b), a, b, cap)
+    sets = _induced_path_sets(g, adjacency_masks(g), distances_from(g, b), a, b, cap)
     got = [frozenset(v for v in g.vertices() if s >> v & 1) for s in sets]
     assert len(got) == len(set(got))
     assert set(got) == _minimal_internal_sets(g, a, b, cap)
