@@ -24,11 +24,13 @@ Vertex labels are structured tuples:
 
 Construction for levels 2 and 3 is explicit; every higher level is built in
 a loop that splits the previous base layer in two, two levels per step.
-That loop in ``_structure`` is the only level loop.  Everything else about
-a vertex is a closed form of its label and k: its level (``label_level``),
-its id order (level by level: hub first, then rungs by index, shortcut
-rungs by pair, base last), which keeps emitted files and golden tests
-stable, and its color in the lift of a source coloring (``_lift_color``).
+That loop in ``_structure`` is the only level loop.  It appends each block
+of vertices after the blocks below it, so it emits the labels in id order
+(level by level: hub first, then rungs by index, shortcut rungs by pair,
+base last), which keeps emitted files and golden tests stable.  Everything
+else about a vertex is a closed form of its label and k: its level
+(``label_level``) and its color in the lift of a source coloring
+(``_lift_color``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .graphs import (
     check_total_coloring,
     graph_from_edges,
     is_connected,
-    normalize_pair,
     pair_set,
 )
 from .rainbow import first_unserved_pair
@@ -129,69 +130,74 @@ def nonrequested_pairs(n: int, p: PairSet) -> list:
     return [q for q in combinations(range(n), 2) if q not in p]
 
 
-def _ledge(a, b) -> tuple:
-    return (a, b) if a < b else (b, a)
-
-
 def _structure(g: Graph, p: PairSet, k: int):
-    """Labels and label-space edges of the level-k gadget.
+    """Labels in id order and the edges (i, j), i < j, of the level-k gadget.
 
     Built up from the level-2 or level-3 base case, two levels per step.
-    Until the end the base layer is kept apart: ``attach`` lists the
-    (vertex, i) edges from the other labels to base copy i, and base-base
-    edges are the source graph's edges.  Each step splits base copy i into
-    the rung ("v", i, level - 2, 1 | 2), which takes over its attachments,
-    and stacks a new base copy on the rung.
+    Every block of vertices is appended after the blocks below it, so ids
+    follow the levels.  A block of rungs that starts at id s holds the two
+    halves of its rung t at s + 2*t and s + 2*t + 1 (labels ending in 1 and
+    2), and every edge is written from those offsets.  Until the end the
+    base layer is kept apart: ``attach`` lists the (id, i) edges from the
+    other vertices to base copy i, and base-base edges are the source
+    graph's edges.  Each step splits base copy i into the rung
+    ("v", i, level - 2, 1 | 2), which takes over its attachments, and
+    stacks a new base copy on the rung.
     """
     n = g.n
     nonpairs = nonrequested_pairs(n, p)
+    labels = []
+    edges = []
+
+    def rungs(kind: str, keys: list) -> int:
+        """Append the rungs (kind, *key, 1 | 2) of one block; return its start."""
+        start = len(labels)
+        labels.extend((kind, *key, a) for key in keys for a in (1, 2))
+        return start
+
+    def joined(s: int, count: int) -> list:
+        """The edge between the two halves of each rung of the block at s."""
+        return [(s + 2 * t, s + 2 * t + 1) for t in range(count)]
+
+    def across(s: int, s2: int, count: int) -> list:
+        """Every edge from a half of rung t at s to a half of rung t at s2 > s."""
+        return [
+            (s + 2 * t + a, s2 + 2 * t + b)
+            for t in range(count)
+            for a in (0, 1)
+            for b in (0, 1)
+        ]
+
+    m = len(nonpairs)
     if k % 2 == 0:
-        hub = ("hub",)
-        level0 = [("v", i, 0, a) for i in range(n) for a in (1, 2)]
-        level0 += [("w", i, j, a) for i, j in nonpairs for a in (1, 2)]
-        labels = set([hub] + level0)
-        edges = set()
-        edges.update(_ledge(hub, x) for x in level0)
-        edges.update(_ledge(("v", i, 0, 1), ("v", i, 0, 2)) for i in range(n))
-        edges.update(_ledge(("w", i, j, 1), ("w", i, j, 2)) for i, j in nonpairs)
-        attach = [(("v", i, 0, a), i) for i in range(n) for a in (1, 2)]
+        labels.append(("hub",))
+        top = rungs("v", [(i, 0) for i in range(n)])
+        w = rungs("w", nonpairs)
+        edges += [(0, x) for x in range(1, len(labels))]
+        edges += joined(top, n) + joined(w, m)
         level = 2
     else:
-        level0 = [("v", i, 0, a) for i in range(n) for a in (1, 2)]
-        level0 += [("u", i, j, a) for i, j in nonpairs for a in (1, 2)]
-        level1 = [("v", i, 1, a) for i in range(n) for a in (1, 2)]
-        level1 += [("w", i, j, a) for i, j in nonpairs for a in (1, 2)]
-        labels = set(level0 + level1)
-        edges = set()
-        edges.update(_ledge(x, y) for x, y in combinations(sorted(level0), 2))
-        for i in range(n):
-            for a in (1, 2):
-                for b in (1, 2):
-                    edges.add(_ledge(("v", i, 0, a), ("v", i, 1, b)))
-        for i, j in nonpairs:
-            for a in (1, 2):
-                for b in (1, 2):
-                    edges.add(_ledge(("u", i, j, a), ("w", i, j, b)))
-        edges.update(_ledge(("v", i, 1, 1), ("v", i, 1, 2)) for i in range(n))
-        attach = [(("v", i, 1, a), i) for i in range(n) for a in (1, 2)]
+        v0 = rungs("v", [(i, 0) for i in range(n)])
+        u = rungs("u", nonpairs)
+        edges += combinations(range(len(labels)), 2)
+        top = rungs("v", [(i, 1) for i in range(n)])
+        w = rungs("w", nonpairs)
+        edges += across(v0, top, n) + across(u, w, m) + joined(top, n)
         level = 3
-    attach += [(("w", i, j, 1), i) for i, j in nonpairs]
-    attach += [(("w", i, j, 2), j) for i, j in nonpairs]
+    attach = [(top + x, x >> 1) for x in range(2 * n)]
+    attach += [(w + 2 * q + a, pair[a]) for q, pair in enumerate(nonpairs) for a in (0, 1)]
 
     while level < k:
         level += 2
-        split = [(("v", i, level - 2, 1), ("v", i, level - 2, 2)) for i in range(n)]
-        for x, i in attach:
-            edges.add(_ledge(x, split[i][0]))
-            edges.add(_ledge(x, split[i][1]))
-        for s1, s2 in split:
-            labels.update((s1, s2))
-            edges.add(_ledge(s1, s2))
-        attach = [(s, i) for i, pair in enumerate(split) for s in pair]
+        s = rungs("v", [(i, level - 2) for i in range(n)])
+        edges += [(x, s + 2 * i + a) for x, i in attach for a in (0, 1)]
+        edges += joined(s, n)
+        attach = [(s + x, x >> 1) for x in range(2 * n)]
 
-    labels.update(("base", i) for i in range(n))
-    edges.update(_ledge(("base", i), x) for x, i in attach)
-    edges.update(_ledge(("base", u), ("base", v)) for u, v in g.edges)
+    s = len(labels)
+    labels.extend(("base", i) for i in range(n))
+    edges += [(x, s + i) for x, i in attach]
+    edges += [(s + i, s + j) for i, j in g.edges]
     return labels, edges
 
 
@@ -232,11 +238,6 @@ def _lift_color(label, k: int, c: VertexColoring) -> int:
     return label[2] + label[3]
 
 
-def _label_sort_key(label, k: int):
-    """Id order: by level, rungs of source vertices before rungs of pairs, then by label."""
-    return (label_level(label, k), label[0] in ("u", "w")) + label[1:]
-
-
 def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     """Build the level-k gadget for (g, p)."""
     if k < 2:
@@ -244,14 +245,14 @@ def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     if not is_connected(g):
         raise ValueError("gadget construction expects a connected graph")
     p.check_in_range(g)
-    labels, ledges = _structure(g, p, k)
-    ordered = sorted(labels, key=lambda lab: _label_sort_key(lab, k))
-    index = {lab: vid for vid, lab in enumerate(ordered)}
-    graph = graph_from_edges(len(ordered), ((index[a], index[b]) for a, b in ledges))
-    base = tuple(index[("base", i)] for i in range(g.n))
-    pairs_k = pair_set((base[i], base[j]) for i, j in p)
-    base_edges = frozenset(normalize_pair(base[u], base[v]) for u, v in g.edges)
-    return GadgetGraph(graph, k, tuple(ordered), base, pairs_k, base_edges)
+    labels, edges = _structure(g, p, k)
+    s = len(labels) - g.n  # the base layer comes last
+    base = tuple(range(s, len(labels)))
+    pairs_k = pair_set((s + i, s + j) for i, j in p)
+    base_edges = frozenset((s + i, s + j) for i, j in g.edges)
+    # Graph validates every edge; _structure emits them already ordered.
+    graph = Graph(len(labels), frozenset(edges))
+    return GadgetGraph(graph, k, tuple(labels), base, pairs_k, base_edges)
 
 
 def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:

@@ -59,6 +59,11 @@ class Graph:
     def neighbors(self, v: int) -> tuple:
         return self._adj[v]
 
+    @property
+    def adjacency(self) -> tuple:
+        """Every vertex's sorted neighbour tuple, ``adjacency[v]``; shared, not copied."""
+        return self._adj
+
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -192,7 +197,7 @@ def distance(g: Graph, u: int, v: int):
 
 def distances_from(g: Graph, s: int) -> list:
     """BFS distance from s to every vertex; None where unreachable."""
-    return adjacency_distances(g._adj, s)
+    return adjacency_distances(g.adjacency, s)
 
 
 def adjacency_distances(adj, s: int) -> list:
@@ -224,7 +229,7 @@ def adjacency_masks(g: Graph) -> list:
 
 def distance_rows(g: Graph) -> list:
     """The all-pairs distance table: ``rows[u][v]``, None when unreachable."""
-    adj = g._adj
+    adj = g.adjacency
     return [adjacency_distances(adj, u) for u in range(g.n)]
 
 

@@ -73,14 +73,15 @@ def _cached_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
 def _stripped_distance(gg: GadgetGraph):
     """Distances in the gadget once its base edges are removed.
 
-    Returns ``dist(a, b)``, INFINITY when b is unreachable from a.  The base
-    edges are stripped from a copy of the adjacency lists once, and each
-    source gets one BFS row, computed on first use.
+    Returns ``dist(a, b)``, INFINITY when b is unreachable from a.  The
+    neighbour tuples of the graph are shared, except that each base vertex
+    gets a filtered list without its base edges; each source gets one BFS
+    row, computed on first use.
     """
-    adj = [list(gg.graph.neighbors(v)) for v in gg.graph.vertices()]
-    for u, v in gg.base_edges:
-        adj[u].remove(v)
-        adj[v].remove(u)
+    adj = list(gg.graph.adjacency)
+    cut = gg.base_edges
+    for x in gg.base:
+        adj[x] = [y for y in adj[x] if ((x, y) if x < y else (y, x)) not in cut]
     rows = {}
 
     def dist(a: int, b: int):

@@ -299,7 +299,7 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
         budget = path_budget(n, c.k)
         _check_budget(expansions, budget)
         # Level 1 serves the neighbours of each state's vertex.
-        adj = [g.neighbors(x) for x in range(n)]
+        adj = g.adjacency
         active = 0
         for y, m in enumerate(missing):
             if m:
@@ -331,7 +331,7 @@ def _repeat(pattern: int, span: int, count: int) -> int:
     return pattern
 
 
-def _spread(adj: list, T: list) -> list:
+def _spread(adj: tuple, T: list) -> list:
     """U[y]: the OR of T[x] over the neighbours x of y with T[x] nonzero."""
     U = [0] * len(T)
     for x, t in enumerate(T):
@@ -367,7 +367,7 @@ def _dense_tables(n: int, colors: int) -> tuple:
 
 def _dense_levels(
     c: VertexColoring,
-    adj: list,
+    adj: tuple,
     missing: list,
     seeds: list,
     active: int,
@@ -439,7 +439,7 @@ def _dense_levels(
 
 def _sparse_levels(
     c: VertexColoring,
-    adj: list,
+    adj: tuple,
     missing: list,
     seeds: list,
     active: int,

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -23,6 +24,7 @@ from rvckit.graphs import (
     normalize_pair,
     pair_set,
 )
+from rvckit.harness import gadget_sweep_instances
 from rvckit.io import emit_gadget
 from rvckit.rainbow import exists_rainbow_path, is_rainbow_vertex_connected
 from rvckit.solver import decide_subset_rvc
@@ -144,6 +146,22 @@ class TestGadgetStructure:
         levels = [label_level(lab, gg.k) for lab in gg.labels]
         assert levels == sorted(levels)
         assert gg.base == tuple(range(gg.graph.n - 3, gg.graph.n))
+
+    def test_structure_is_pinned(self):
+        # Every gadget of the "full" sweep (levels 2-5, n <= 4) and levels
+        # 6-11 for n <= 3: 1,726 gadgets.  The digest was recorded while ids
+        # still came from sorting the labels; any change of an id, an edge,
+        # a label, the base map, the transported pairs or the base edges
+        # changes it.
+        instances = gadget_sweep_instances(4, (2, 3, 4, 5))
+        instances += gadget_sweep_instances(3, range(6, 12))
+        digest = hashlib.sha256()
+        for g, p, k in instances:
+            gg = build_gadget(g, p, k)
+            digest.update(emit_gadget(gg).encode())
+            digest.update(repr((gg.base, tuple(gg.pairs_k), sorted(gg.base_edges))).encode())
+        assert len(instances) == 1726
+        assert digest.hexdigest() == "6576dd53fd1df35c18b7e31f8aee5fd73d02a21bce8909802d9192d875327ced"
 
     def test_rebuild_is_identical(self):
         g = cycle_graph(4)
