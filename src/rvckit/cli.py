@@ -208,13 +208,9 @@ def _cmd_reduce_lemma1(args) -> int:
 def _cmd_claims(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.cap < 1:
-        # A cap below 1 skips every exhaustive check, so the sweep would
-        # report success without having checked anything.
-        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     # More workers than CPUs only adds processes; never start more.
     jobs = min(args.jobs, os.cpu_count() or 1)
-    reports = run_suite(args.suite, cap=args.cap, jobs=jobs)
+    reports = run_suite(args.suite, jobs=jobs)
     for r in reports:
         line = f"{r.status.upper():<5} {r.check:<19} {r.instance}"
         if r.detail:
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("claims", help="run a sweep of construction checks")
     p.add_argument("--suite", choices=SUITE_NAMES, default="core")
-    p.add_argument("--cap", type=int, default=18, help="skip exhaustive gadget search above this size")
     p.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes, at most one per CPU"
     )

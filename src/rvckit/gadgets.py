@@ -240,8 +240,8 @@ def _lift_color(label, k: int, c: VertexColoring) -> int:
 
 def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     """Build the level-k gadget for (g, p)."""
-    if k < 2:
-        raise ValueError("gadget levels start at k = 2")
+    if type(k) is not int or k < 2:
+        raise ValueError(f"gadget levels are ints from k = 2, got {k!r}")
     if not is_connected(g):
         raise ValueError("gadget construction expects a connected graph")
     p.check_in_range(g)

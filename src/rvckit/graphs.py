@@ -73,7 +73,9 @@ class Graph:
         return normalize_pair(u, v) in self.edges
 
     def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
+        if type(v) is not int:
+            raise ValueError(f"vertex {v!r} is not an int")
+        if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
@@ -164,11 +166,13 @@ class VertexColoring:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("color budget must be at least 1")
+        # type() rather than isinstance(), as for vertex ids: a bool or a
+        # float color would reach the searches' bit arithmetic.
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"color budget must be an int of at least 1, got {self.k!r}")
         for v, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
-                raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
+            if type(c) is not int or not 1 <= c <= self.k:
+                raise ValueError(f"vertex {v} has color {c!r}, not an int in 1..{self.k}")
 
     def __len__(self) -> int:
         return len(self.colors)

@@ -157,11 +157,7 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
         for state in frontier:
             x, mask, _ = state
             expansions += 1
-            if expansions > budget:
-                search_stats.violations += 1
-                raise RuntimeError(
-                    f"path search expanded {expansions} states, over budget {budget}"
-                )
+            _check_budget(expansions, budget)
             for y in g.neighbors(x):
                 if y == target:
                     reached = state

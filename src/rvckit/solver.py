@@ -25,13 +25,13 @@ whose candidate sets are all blocked by the partial assignment can never be
 satisfied, and the branch is abandoned.
 
 Every decision runs on one private core after its public entry point has
-validated the input once.  ``rvc_exact`` and ``decide_rvc_le_k`` build one
-table of BFS distance rows per graph; it answers connectivity, the diameter
-lower bound where ``rvc_exact`` starts its scan, and the exact-distance prune
-of the path enumeration for every pair.  ``decide_subset_rvc`` runs a BFS
-only from the targets of its pairs.  A pair at distance at most 2 has a path
-with at most one internal vertex, rainbow under every coloring, so the core
-drops it before enumerating anything; a pair farther than k+1 is a no.
+validated the input once.  ``rvc_exact``, ``decide_rvc_le_k`` and
+``decide_subset_rvc`` build one table of BFS distance rows per graph; it
+answers connectivity, the diameter lower bound where ``rvc_exact`` starts its
+scan, and the exact-distance prune of the path enumeration for every pair.  A
+pair at distance at most 2 has a path with at most one internal vertex,
+rainbow under every coloring, so the core drops it before enumerating
+anything; a pair farther than k+1 is a no.
 
 Yes-answers are never trusted from search state: the witness coloring is
 re-verified with the independent rainbow checker before it is returned.
@@ -48,9 +48,7 @@ from .graphs import (
     VertexColoring,
     adjacency_masks,
     distance_rows,
-    distances_from,
     is_complete,
-    is_connected,
 )
 from .rainbow import first_unserved_pair
 
@@ -157,15 +155,10 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _target_rows(g: Graph, p: PairSet) -> dict:
-    """BFS distance rows from the targets of p, the larger vertex of each pair."""
-    return {b: distances_from(g, b) for _, b in p.pairs}
-
-
 def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
     """Decide a validated instance: g connected, k >= 1, p in range or None for all pairs.
 
-    ``dist_to[b]`` is the BFS distance row from each target b of p.  A pair
+    ``dist_to[b]`` is the BFS distance row from b, for every vertex b.  A pair
     at distance 1 or 2 has a path with at most one internal vertex, rainbow
     under every coloring, so it drops out before any path is enumerated; a
     pair beyond k+1 has no path a k-coloring can make rainbow.  Every other
@@ -235,12 +228,11 @@ def _connected_rows(g: Graph) -> list:
 
 def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
     """Decide whether some k-coloring makes every pair in p rainbow connected."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not is_connected(g):
-        raise ValueError("subset rainbow decisions need a connected graph")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int of at least 1, got {k!r}")
+    rows = _connected_rows(g)
     p.check_in_range(g)
-    return _decide(g, k, p, _target_rows(g, p))
+    return _decide(g, k, p, rows)
 
 
 def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
@@ -249,8 +241,8 @@ def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
     k = 0 holds exactly for complete graphs (every pair is an edge), where no
     coloring is needed and none is reported.
     """
-    if k < 0:
-        raise ValueError("k must be at least 0")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int of at least 0, got {k!r}")
     rows = _connected_rows(g)
     if k == 0:
         return SolveResult(is_complete(g), None, 0)
@@ -279,8 +271,8 @@ def rvc_exact(g: Graph):
 
 def chromatic_decision(g: Graph, k: int) -> SolveResult:
     """Decide whether g has a proper k-coloring, with the same canonical search."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int of at least 1, got {k!r}")
     adj = adjacency_masks(g)
     masks = [0] * (k + 1)
 

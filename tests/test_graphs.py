@@ -114,6 +114,15 @@ class TestColoring:
         with pytest.raises(ValueError):
             VertexColoring((), 0)
 
+    @pytest.mark.parametrize(
+        "colors, k",
+        [((1.0, 2, 3, 1), 3), ((True, 2), 2), ((1, 2), 2.0), ((1, 1), True)],
+        ids=["float-color", "bool-color", "float-budget", "bool-budget"],
+    )
+    def test_rejects_non_int_colors_and_budgets(self, colors, k):
+        with pytest.raises(ValueError, match="int"):
+            VertexColoring(colors, k)
+
 
 class TestDistance:
     def test_path_endpoints(self):

@@ -91,11 +91,8 @@ class TestChecksOnHealthyGadgets:
         assert r.instance == describe_instance(g, all_vertex_pairs(g), 2)
         assert r.detail == "no witness coloring exists"
 
-    def test_equivalence_passes_and_skips_over_cap(self):
+    def test_equivalence_passes(self):
         assert check_reduction_equivalence(P3, pair_set([(0, 2)]), 2).status == "pass"
-        r = check_reduction_equivalence(P3, pair_set([(0, 2)]), 2, cap=5)
-        assert r.status == "skip"
-        assert "cap" in r.detail
 
     def test_pendant_equivalence(self):
         assert check_pendant_equivalence(cycle_graph(5), 3).status == "pass"

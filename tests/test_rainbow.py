@@ -16,7 +16,7 @@ from strategies import colored_graphs_st, connected_graphs_st
 from rvckit import rainbow
 from rvckit.families import complete_graph, cycle_graph, path_graph, star_graph
 from rvckit.gadgets import build_gadget
-from rvckit.graphs import VertexColoring, coloring, graph_from_edges, pair_set
+from rvckit.graphs import VertexColoring, coloring, distance, graph_from_edges, pair_set
 from rvckit.harness import gadget_sweep_instances
 from rvckit.rainbow import (
     PathWitness,
@@ -114,6 +114,17 @@ class TestExistsRainbowPath:
         g = graph_from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
         w = exists_rainbow_path(g, coloring([1, 1, 1, 1]), 0, 3)
         assert w.vertices == (0, 1, 3)
+
+    @pytest.mark.parametrize("v", [2.5, True, "2", None], ids=["float", "bool", "str", "none"])
+    def test_rejects_non_int_vertex_ids(self, v):
+        # 2.5 must not read as an unreachable vertex (a wrong "no"), nor True as vertex 1.
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="not an int"):
+            exists_rainbow_path(g, coloring([1, 2, 3, 1]), 0, v)
+        with pytest.raises(ValueError, match="not an int"):
+            PathWitness(g, (0, v))
+        with pytest.raises(ValueError, match="not an int"):
+            distance(g, v, 0)
 
     def test_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):

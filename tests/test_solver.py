@@ -22,6 +22,7 @@ from rvckit.families import (
     path_graph,
     star_graph,
 )
+from rvckit.gadgets import build_gadget
 from rvckit.graphs import (
     adjacency_masks,
     all_vertex_pairs,
@@ -97,6 +98,23 @@ class TestSubsetDecision:
         first = decide_subset_rvc(g, p, 2)
         second = decide_subset_rvc(g, p, 2)
         assert first == second
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g, k: decide_subset_rvc(g, pair_set([(0, 3)]), k),
+        lambda g, k: decide_rvc_le_k(g, k),
+        lambda g, k: chromatic_decision(g, k),
+        lambda g, k: build_gadget(g, pair_set([(0, 3)]), k),
+    ],
+    ids=["subset", "rvc_le_k", "chromatic", "gadget"],
+)
+def test_non_int_budget_is_rejected_where_it_enters(entry, k):
+    # A float must not get as far as the search's arithmetic, nor a bool pass as 1.
+    with pytest.raises(ValueError, match="int"):
+        entry(path_graph(4), k)
 
 
 class TestFullDecision:
