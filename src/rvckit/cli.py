@@ -10,6 +10,7 @@ assert either polarity without inspecting stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -257,7 +258,9 @@ def _add_expect_flags(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rvckit parser, built once per process; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="rvckit",
         description="Rainbow vertex-connection: solve, verify, and build reductions.",

@@ -58,10 +58,6 @@ class PendantInstance:
     pairs: PairSet
     source_n: int
 
-    @property
-    def pendant_of(self) -> tuple:
-        return tuple(range(self.source_n, 2 * self.source_n))
-
 
 def pendant_reduction(g: Graph) -> PendantInstance:
     """Attach pendant n+v to each vertex v; pairs mirror the edges of g."""

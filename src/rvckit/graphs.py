@@ -34,11 +34,13 @@ class Graph:
     n: int
     edges: frozenset
     _adj: tuple = field(init=False, repr=False, compare=False)
+    _masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")
         adj = [[] for _ in range(self.n)]
+        masks = [0] * self.n
         for e in self.edges:
             u, v = e
             # type() rather than isinstance(): bool is an int subclass, and
@@ -47,7 +49,10 @@ class Graph:
                 raise ValueError(_edge_fault(u, v, self.n))
             adj[u].append(v)
             adj[v].append(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @property
     def m(self) -> int:
@@ -63,6 +68,11 @@ class Graph:
     def adjacency(self) -> tuple:
         """Every vertex's sorted neighbour tuple, ``adjacency[v]``; shared, not copied."""
         return self._adj
+
+    @property
+    def masks(self) -> tuple:
+        """Every vertex's neighbour bitmask: bit y of ``masks[x]`` is set when xy is an edge."""
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -220,15 +230,6 @@ def adjacency_distances(adj, s: int) -> list:
                     nxt.append(y)
         frontier = nxt
     return dist
-
-
-def adjacency_masks(g: Graph) -> list:
-    """Neighbour bitsets: bit y of ``masks[x]`` is set when xy is an edge."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def distance_rows(g: Graph) -> list:

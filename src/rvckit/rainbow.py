@@ -34,7 +34,6 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
-    adjacency_masks,
     check_total_coloring,
     is_connected,
 )
@@ -281,7 +280,7 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
         active |= m
     searched = active.bit_count()
     # Level 0: the direct edges.
-    nbrs = adjacency_masks(g)
+    nbrs = g.masks
     active = 0
     for y, m in enumerate(missing):
         if m:

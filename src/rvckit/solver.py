@@ -46,7 +46,6 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
-    adjacency_masks,
     distance_rows,
     is_complete,
 )
@@ -117,10 +116,10 @@ def _canonical_search(order: list, k: int, place, undo):
     return colors, nodes
 
 
-def _induced_path_sets(g: Graph, adj: list, dist: list, a: int, b: int, max_len: int) -> list:
+def _induced_path_sets(g: Graph, dist: list, a: int, b: int, max_len: int) -> list:
     """Internal-vertex bitmasks of the induced a-b paths with at most max_len edges.
 
-    ``adj[v]`` is the neighbourhood bitmask of v.  The walk carries ``banned``,
+    The walk reads the neighbour bitmasks ``g.masks`` and carries ``banned``,
     the closed neighbourhoods of every path vertex but the last, and extends
     only outside it, so no path gets a chord.  Once the last vertex touches
     b, the path must end there.  Partial paths that cannot reach b within the
@@ -128,6 +127,7 @@ def _induced_path_sets(g: Graph, adj: list, dist: list, a: int, b: int, max_len:
     """
     if dist[a] is None:
         return []
+    adj = g.masks
     out = []
     bit_b = 1 << b
     stack = [(a, 0, 0, 0)]  # (last vertex, banned, internal set, edges used)
@@ -164,7 +164,6 @@ def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
     pair beyond k+1 has no path a k-coloring can make rainbow.  Every other
     pair's induced paths have at least two internal vertices.
     """
-    adj = adjacency_masks(g)
     constraints = []
     for a, b in combinations(range(g.n), 2) if p is None else p:
         dist = dist_to[b]
@@ -172,7 +171,7 @@ def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
             continue
         if dist[a] > k + 1:
             return SolveResult(False, None, 0)
-        constraints.append(_induced_path_sets(g, adj, dist, a, b, k + 1))
+        constraints.append(_induced_path_sets(g, dist, a, b, k + 1))
 
     # blocked flag per candidate set, alive count per constraint, and
     # vertex -> (constraint, set index, set) for the sets through it.
@@ -273,7 +272,7 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     """Decide whether g has a proper k-coloring, with the same canonical search."""
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
-    adj = adjacency_masks(g)
+    adj = g.masks
     masks = [0] * (k + 1)
 
     def place(v: int, col: int):

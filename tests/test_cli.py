@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvckit import io as rvckit_io
-from rvckit.cli import _coloring_arg, cli_main
+from rvckit.cli import _coloring_arg, build_parser, cli_main
 from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import coloring, pair_set
@@ -317,6 +317,30 @@ class TestUsageAndErrors:
         path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')
         assert cli_main(["solve", "-i", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["decide", "-k", "2", "--expect-no"], ["decide", "-k", "2"]),
+            (
+                ["verify", "--pairs", "[[0, 2]]", "--coloring", "[1, 1, 1, 1, 1]"],
+                ["verify", "--coloring", "[1, 1, 1, 1, 1]"],
+            ),
+            (["subset", "--pairs", "[[0, 4]]", "-k", "3"], ["solve"]),
+        ],
+    )
+    def test_reused_parser_keeps_no_state(self, p5_file, first, second, capsys):
+        # The parser is built once per process; a flag of one call must not
+        # leak into the next.
+        def run(args):
+            code = cli_main([args[0], "-i", p5_file, *args[1:]])
+            return code, capsys.readouterr().out
+
+        alone = []
+        for args in (first, second):
+            build_parser.cache_clear()
+            alone.append(run(args))
+        assert [run(first), run(second)] == alone
 
     def test_internal_error_exits_three_not_one(self, p5_file, monkeypatch, capsys):
         def crash(g, k):

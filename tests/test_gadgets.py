@@ -47,7 +47,6 @@ class TestPendantReduction:
             {(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}
         )
         assert set(inst.pairs) == {(3, 4), (3, 5), (4, 5)}
-        assert tuple(inst.pendant_of) == (3, 4, 5)
 
     def test_pairs_follow_source_edges(self):
         g = path_graph(4)

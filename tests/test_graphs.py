@@ -231,3 +231,17 @@ def test_simple_paths_cap_selects_by_length(g, data):
     mine = set(simple_paths(g, u, v, max_len=cap))
     want = {p for p in oracle_simple_paths(g, u, v) if len(p) - 1 <= cap}
     assert mine == want
+
+
+def neighbour_bits(g):
+    """Bit y of entry x is set exactly when y is in g.adjacency[x]."""
+    return tuple(sum(1 << y for y in nbrs) for nbrs in g.adjacency)
+
+
+@given(connected_graphs_st(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_masks_match_adjacency(g, data):
+    assert g.masks == neighbour_bits(g)
+    drop = data.draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True))
+    h = remove_edges(g, drop)
+    assert h.masks == neighbour_bits(h)

@@ -115,6 +115,12 @@ class TestCorruptions:
         r = check_nonpair_distances(bad)
         assert r.status == "fail"
 
+    @pytest.mark.parametrize("corrupt", [corrupt_shortcut, corrupt_unhook])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_corrupted_graphs_carry_fresh_masks(self, corrupt, k):
+        g = corrupt(small_gadget(k)).graph
+        assert g.masks == tuple(sum(1 << y for y in nbrs) for nbrs in g.adjacency)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_base_cut_breaks_lift_validity(self, k):
         # Every base-cut gadget of the n <= 3 sweep at level k.  The cut does

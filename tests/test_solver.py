@@ -24,7 +24,6 @@ from rvckit.families import (
 )
 from rvckit.gadgets import build_gadget
 from rvckit.graphs import (
-    adjacency_masks,
     all_vertex_pairs,
     distances_from,
     graph_from_edges,
@@ -250,7 +249,7 @@ def test_candidate_sets_are_the_minimal_internal_sets(g, cap, data):
     far = [(a, b) for a, b in all_vertex_pairs(g) if not g.has_edge(a, b)]
     assume(far)
     a, b = data.draw(st.sampled_from(far))
-    sets = _induced_path_sets(g, adjacency_masks(g), distances_from(g, b), a, b, cap)
+    sets = _induced_path_sets(g, distances_from(g, b), a, b, cap)
     got = [frozenset(v for v in g.vertices() if s >> v & 1) for s in sets]
     assert len(got) == len(set(got))
     assert set(got) == _minimal_internal_sets(g, a, b, cap)
