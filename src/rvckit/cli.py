@@ -26,7 +26,6 @@ from .io import (
     emit_dot,
     emit_gadget,
     emit_instance,
-    label_text,
     parse_gadget,
     parse_instance,
 )
@@ -176,11 +175,7 @@ def _cmd_lift(args) -> int:
     pairs = _required_pairs(args, g, pairs)
     col = _required_coloring(args, g, col)
     gg = build_gadget(g, pairs, args.k)
-    ck = lift_coloring(gg, col)
-    labels = [label_text(lab, gg.k) for lab in gg.labels]
-    _write_or_print(
-        emit_instance(gg.graph, pairs=gg.pairs_k, coloring=ck, labels=labels), args.out
-    )
+    _write_or_print(emit_gadget(gg, coloring=lift_coloring(gg, col)), args.out)
     return 0
 
 

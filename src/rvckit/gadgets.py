@@ -35,7 +35,7 @@ else about a vertex is a closed form of its label and k: its level
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graphs import (
@@ -101,24 +101,40 @@ def pendant_project(inst: PendantInstance, cprime: VertexColoring) -> VertexColo
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """A built level-k gadget with its bookkeeping maps.
+    """A level-k gadget with one structured label per vertex.
 
-    ``labels[vid]`` is the structured label of vertex vid; ``base[i]`` is the
-    id of the base-layer copy of source vertex i; ``pairs_k`` transports the
-    requested pairs to the base layer; ``base_edges`` is the edge set of the
-    base-layer copy of the source graph.
+    ``labels[vid]`` is the label of vertex vid; ``pairs_k`` transports the
+    requested pairs to the base layer.  The base layer is read off the
+    labels, here and nowhere else: ``base[i]`` is the id of the vertex
+    labelled ("base", i), and ``base_edges`` are the edges with both ends in
+    the base.  Construction raises ``ValueError`` unless there is one label
+    per vertex and the base labels name source vertices 0..n-1 once each.
     """
 
     graph: Graph
     k: int
     labels: tuple
-    base: tuple
     pairs_k: PairSet
-    base_edges: frozenset
+    base: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.labels) != self.graph.n:
+            raise ValueError(f"{len(self.labels)} labels for {self.graph.n} vertices")
+        ids = [vid for vid, lab in enumerate(self.labels) if lab[0] == "base"]
+        slot = {self.labels[vid][1]: vid for vid in ids}
+        if not ids or slot.keys() != set(range(len(ids))):
+            raise ValueError("base labels must name source vertices 0..n-1 once each")
+        object.__setattr__(self, "base", tuple(slot[i] for i in range(len(ids))))
 
     @property
     def source_n(self) -> int:
         return len(self.base)
+
+    @property
+    def base_edges(self) -> frozenset:
+        """The base-layer copy of the source graph's edges, in gadget ids."""
+        inside = set(self.base)
+        return frozenset(e for e in self.graph.edges if e[0] in inside and e[1] in inside)
 
 
 def nonrequested_pairs(n: int, p: PairSet) -> list:
@@ -243,12 +259,10 @@ def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     p.check_in_range(g)
     labels, edges = _structure(g, p, k)
     s = len(labels) - g.n  # the base layer comes last
-    base = tuple(range(s, len(labels)))
     pairs_k = pair_set((s + i, s + j) for i, j in p)
-    base_edges = frozenset((s + i, s + j) for i, j in g.edges)
     # Graph validates every edge; _structure emits them already ordered.
     graph = Graph(len(labels), frozenset(edges))
-    return GadgetGraph(graph, k, tuple(labels), base, pairs_k, base_edges)
+    return GadgetGraph(graph, k, tuple(labels), pairs_k)
 
 
 def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:

@@ -75,13 +75,13 @@ def _stripped_distance(gg: GadgetGraph):
 
     Returns ``dist(a, b)``, INFINITY when b is unreachable from a.  The
     neighbour tuples of the graph are shared, except that each base vertex
-    gets a filtered list without its base edges; each source gets one BFS
-    row, computed on first use.
+    gets a filtered list without its base neighbours; each source gets one
+    BFS row, computed on first use.
     """
     adj = list(gg.graph.adjacency)
-    cut = gg.base_edges
+    inside = set(gg.base)
     for x in gg.base:
-        adj[x] = [y for y in adj[x] if ((x, y) if x < y else (y, x)) not in cut]
+        adj[x] = [y for y in adj[x] if y not in inside]
     rows = {}
 
     def dist(a: int, b: int):
@@ -214,10 +214,6 @@ def check_pendant_equivalence(g: Graph, k: int) -> ClaimReport:
 # Seeded corruptions: targeted ways to break a gadget.
 
 
-def _label_index(gg: GadgetGraph) -> dict:
-    return {lab: vid for vid, lab in enumerate(gg.labels)}
-
-
 def corrupt_shortcut(gg: GadgetGraph) -> GadgetGraph | None:
     """Add an edge that undercuts the detour of the first requested pair."""
     pairs = list(gg.pairs_k)
@@ -225,7 +221,7 @@ def corrupt_shortcut(gg: GadgetGraph) -> GadgetGraph | None:
         return None
     a, b = pairs[0]
     i = gg.base.index(a)
-    rung = _label_index(gg)[("v", i, gg.k - 2, 1)]
+    rung = gg.labels.index(("v", i, gg.k - 2, 1))
     edges = set(gg.graph.edges)
     edges.add(normalize_pair(rung, b))
     return replace(gg, graph=graph_from_edges(gg.graph.n, edges))
@@ -236,10 +232,9 @@ def corrupt_unhook(gg: GadgetGraph) -> GadgetGraph | None:
     for i, j in combinations(range(gg.source_n), 2):
         if normalize_pair(gg.base[i], gg.base[j]) in gg.pairs_k:
             continue
-        index = _label_index(gg)
         drop = []
         for a in (1, 2):
-            x = index[("w", i, j, a)]
+            x = gg.labels.index(("w", i, j, a))
             level = label_level(gg.labels[x], gg.k)
             drop += [
                 (x, y)
@@ -260,7 +255,7 @@ def corrupt_base_cut(gg: GadgetGraph) -> GadgetGraph | None:
     """
     for e in sorted(gg.base_edges):
         if e in gg.pairs_k:
-            return replace(gg, graph=remove_edges(gg.graph, [e]), base_edges=gg.base_edges - {e})
+            return replace(gg, graph=remove_edges(gg.graph, [e]))
     return None
 
 

@@ -181,9 +181,10 @@ def parse_label(text: str, k: int) -> tuple:
     raise InstanceFormatError(f"unrecognized vertex label {text!r}")
 
 
-def emit_gadget(gg: GadgetGraph) -> str:
+def emit_gadget(gg: GadgetGraph, coloring: VertexColoring | None = None) -> str:
+    """Serialize a gadget, with a coloring of it (a lifted one, say) when given."""
     labels = [label_text(lab, gg.k) for lab in gg.labels]
-    return emit_instance(gg.graph, pairs=gg.pairs_k, k=gg.k, labels=labels)
+    return emit_instance(gg.graph, gg.pairs_k, coloring, k=gg.k, labels=labels)
 
 
 def parse_gadget(text: str) -> tuple[GadgetGraph, VertexColoring | None]:
@@ -201,16 +202,14 @@ def parse_gadget(text: str) -> tuple[GadgetGraph, VertexColoring | None]:
     if not _is_int(k) or k < 2:
         raise InstanceFormatError("gadget file must carry an integer 'k' >= 2")
     raw_labels = obj.get("labels")
-    if not isinstance(raw_labels, list) or len(raw_labels) != g.n:
-        raise InstanceFormatError("gadget file must carry one label per vertex")
+    if not isinstance(raw_labels, list):
+        raise InstanceFormatError("gadget file must carry a list of vertex labels")
     labels = tuple(parse_label(str(s), k) for s in raw_labels)
-    base_map = {lab[1]: vid for vid, lab in enumerate(labels) if lab[0] == "base"}
-    if sorted(base_map) != list(range(len(base_map))) or not base_map:
-        raise InstanceFormatError("base labels must cover indices 0..n-1 of the source graph")
-    base = tuple(base_map[i] for i in range(len(base_map)))
-    base_set = set(base)
-    base_edges = frozenset(e for e in g.edges if e[0] in base_set and e[1] in base_set)
-    return GadgetGraph(g, k, labels, base, pairs, base_edges), _parse_coloring(obj, g)
+    try:
+        gg = GadgetGraph(g, k, labels, pairs)
+    except ValueError as e:
+        raise InstanceFormatError(f"bad gadget labels: {e}") from None
+    return gg, _parse_coloring(obj, g)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,9 @@ def _gadget_dot(gg: GadgetGraph) -> str:
             shape = ", shape=doublecircle" if gg.labels[vid][0] == "base" else ""
             lines.append(f'    {vid} [label="{text}"{shape}];')
         lines.append("  }")
+    base_edges = gg.base_edges
     for u, v in sorted(gg.graph.edges):
-        style = " [penwidth=2]" if (u, v) in gg.base_edges else ""
+        style = " [penwidth=2]" if (u, v) in base_edges else ""
         lines.append(f"  {u} -- {v}{style};")
     lines += _pair_edge_lines(gg.pairs_k)
     lines.append("}")

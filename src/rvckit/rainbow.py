@@ -140,11 +140,12 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     set, which dominates every state that would re-enter it.
 
     Every call asserts that the number of expanded states stays within
-    path_budget(n, k); expanded states are distinct partial paths, so the
-    bound is never exceeded by a correct search.
+    path_budget(n, min(k, n)); expanded states are distinct partial paths of
+    at most n-2 internal vertices, so the bound is never exceeded by a
+    correct search, and a k far above n costs no more than k = n.
     """
     bit = [1 << (col - 1) for col in c.colors]  # color j maps to bit j-1
-    budget = path_budget(g.n, c.k)
+    budget = path_budget(g.n, min(c.k, g.n))
     expansions = 0
     reached = None
     # seen[y] lists the masks accepted at y, in the order they were reached.
@@ -261,11 +262,11 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
     gone while the table keeps doubling with each color, so the cut is a
     constant there.
 
-    The states stay within path_budget(n, k): a level-l state is fixed by
-    the l vertices after the source, so level l holds at most n**l distinct
-    (x, M), and levels 1..k sum to less than the budget.  Going over it
-    means the search is wrong; it is counted in ``search_stats.violations``
-    and raised as a RuntimeError.
+    The states stay within path_budget(n, min(k, n)): a level-l state is
+    fixed by the l vertices after the source, so level l holds at most n**l
+    distinct (x, M), and levels 1..min(k, n-1) sum to less than the
+    budget.  Going over it means the search is wrong; it is counted in
+    ``search_stats.violations`` and raised as a RuntimeError.
 
     Counters: ``search_stats.calls`` grows by the number of distinct
     sources, so it still counts source searches and matches a search per
@@ -291,7 +292,7 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
     if active:
         seeds = [nb & active for nb in nbrs]
         expansions = n - seeds.count(0)
-        budget = path_budget(n, c.k)
+        budget = path_budget(n, min(c.k, n))
         _check_budget(expansions, budget)
         # Level 1 serves the neighbours of each state's vertex.
         adj = g.adjacency

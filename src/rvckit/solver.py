@@ -183,8 +183,9 @@ def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
             for v in _bits(s):
                 touching[v].append((ci, len(blocked), s))
             blocked.append(False)
-    # masks[col]: the vertices that currently hold color col.
-    masks = [0] * (k + 1)
+    # masks[col]: the vertices that currently hold color col.  The canonical
+    # search opens at most n colors, so a budget k above n needs no more.
+    masks = [0] * (min(k, g.n) + 1)
 
     def place(v: int, col: int):
         """Apply the assignment; returns an undo journal or None on a dead pair."""
@@ -273,7 +274,7 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
     adj = g.masks
-    masks = [0] * (k + 1)
+    masks = [0] * (min(k, g.n) + 1)  # at most n colors are ever opened
 
     def place(v: int, col: int):
         if adj[v] & masks[col]:

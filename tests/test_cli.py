@@ -198,6 +198,19 @@ class TestGadgetLiftProject:
         assert col.colors == (1, 2, 1)
         capsys.readouterr()
 
+    def test_project_rejects_a_repeated_base_label(self, p3_file, tmp_path, capsys):
+        lifted = tmp_path / "lifted.json"
+        args = ["lift", "-i", p3_file, "-k", "2", "--coloring", "[1, 2, 1]", "-o", str(lifted)]
+        assert cli_main(args) == 0
+        obj = json.loads(lifted.read_text())
+        assert obj["labels"][13] == "v_{2,2}"
+        obj["labels"][13] = "v_{1,2}"
+        lifted.write_text(json.dumps(obj))
+        assert cli_main(["project", "-i", str(lifted)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "base labels must name source vertices 0..n-1 once each" in captured.err
+
     def test_project_without_any_coloring_fails(self, p3_file, tmp_path, capsys):
         bare = tmp_path / "bare.json"
         assert cli_main(["gadget", "-i", p3_file, "-k", "2", "-o", str(bare)]) == 0

@@ -128,9 +128,19 @@ class TestGadgetFiles:
     def test_reads_a_lifted_coloring(self):
         gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 3)
         ck = lift_coloring(gg, coloring([1, 2, 1], k=3))
-        labels = [label_text(lab, gg.k) for lab in gg.labels]
-        text = emit_instance(gg.graph, pairs=gg.pairs_k, coloring=ck, labels=labels)
-        assert parse_gadget(text) == (gg, ck)
+        assert parse_gadget(emit_gadget(gg, coloring=ck)) == (gg, ck)
+
+    def test_rejects_a_repeated_base_label(self):
+        # Vertex 13 is v_{2,2}; a second v_{1,2} leaves source vertex 2 unnamed.
+        text = emit_gadget(build_gadget(path_graph(3), pair_set([(0, 2)]), 2))
+        assert text.count('"v_{2,2}"') == 1
+        with pytest.raises(InstanceFormatError, match="base labels"):
+            parse_gadget(text.replace('"v_{2,2}"', '"v_{1,2}"'))
+
+    def test_rejects_a_label_count_other_than_n(self):
+        text = '{"n": 2, "edges": [[0, 1]], "pairs": [], "k": 2, "labels": ["v_{0,2}"]}'
+        with pytest.raises(InstanceFormatError, match="1 labels for 2 vertices"):
+            parse_gadget(text)
 
     def test_requires_gadget_keys(self):
         with pytest.raises(InstanceFormatError, match="pairs"):

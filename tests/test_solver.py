@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -129,6 +130,23 @@ class TestFullDecision:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             decide_rvc_le_k(path_graph(3), -1)
+
+    @pytest.mark.parametrize("decide", [decide_rvc_le_k, chromatic_decision])
+    def test_budget_far_above_n_costs_no_more_than_n(self, decide):
+        # At most n colors are ever opened and a simple path has at most n-2
+        # internal vertices, so k = 10**6 must not allocate or power up to k.
+        g = cycle_graph(6)
+        tracemalloc.start()
+        try:
+            big = decide(g, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        small = decide(g, g.n)
+        assert (big.decision, big.nodes_explored) == (small.decision, small.nodes_explored)
+        assert big.witness.colors == small.witness.colors
+        assert big.witness.k == 10**6
 
     def test_rejects_disconnected(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])
