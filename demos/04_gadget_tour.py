@@ -14,8 +14,8 @@ from rvckit import (
     build_gadget,
     decide_subset_rvc,
     distance,
-    emit_dot,
     emit_gadget,
+    emit_gadget_dot,
     lift_coloring,
     is_rainbow_vertex_connected,
     pair_set,
@@ -57,5 +57,5 @@ print("projected back:", list(project_coloring(gg, ck).colors))
 # to a fresh temporary directory so the tour leaves no files behind.
 out_dir = Path(tempfile.mkdtemp(prefix="rvckit-gadget-"))
 (out_dir / "gadget_p3_k2.json").write_text(emit_gadget(gg))
-(out_dir / "gadget_p3_k2.dot").write_text(emit_dot(gg))
+(out_dir / "gadget_p3_k2.dot").write_text(emit_gadget_dot(gg))
 print(f"\nwrote gadget_p3_k2.json and gadget_p3_k2.dot to {out_dir} (render with: dot -Tsvg)")

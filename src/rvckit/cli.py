@@ -25,6 +25,7 @@ from .io import (
     _parse_pairs,
     emit_dot,
     emit_gadget,
+    emit_gadget_dot,
     emit_instance,
     parse_gadget,
     parse_instance,
@@ -166,7 +167,7 @@ def _cmd_gadget(args) -> int:
     _write_or_print(emit_gadget(gg), args.out)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(emit_dot(gg))
+            fh.write(emit_gadget_dot(gg))
     return 0
 
 

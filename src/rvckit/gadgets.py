@@ -282,6 +282,8 @@ def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:
 
 
 def project_coloring(gg: GadgetGraph, ck: VertexColoring) -> VertexColoring:
-    """Read the base-layer colors of a gadget coloring back onto the source."""
+    """Read the base-layer colors of a gadget coloring back onto the source, at budget gg.k."""
     check_total_coloring(gg.graph, ck)
-    return VertexColoring(tuple(ck.colors[b] for b in gg.base), ck.k)
+    if max(ck.colors) > gg.k:
+        raise ValueError(f"coloring uses color {max(ck.colors)}, outside budget {gg.k}")
+    return VertexColoring(tuple(ck.colors[b] for b in gg.base), gg.k)

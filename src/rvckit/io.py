@@ -17,9 +17,8 @@ distinct from omitting the key.
 from __future__ import annotations
 
 import json
-import re
 
-from .gadgets import GadgetGraph, label_level
+from .gadgets import GadgetGraph, build_gadget, label_level
 from .graphs import (
     Graph,
     PairSet,
@@ -159,28 +158,6 @@ def label_text(label: tuple, k: int) -> str:
     raise ValueError(f"unknown label {label!r}")
 
 
-_RUNG_RE = re.compile(r"^([uvw])_\{(\d+),(\d+)\}\^\{\((\d+)\)\}$")
-_BASE_RE = re.compile(r"^v_\{(\d+),(\d+)\}$")
-
-
-def parse_label(text: str, k: int) -> tuple:
-    """Inverse of :func:`label_text`."""
-    if text == "u":
-        return ("hub",)
-    m = _RUNG_RE.match(text)
-    if m:
-        return (m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4)))
-    m = _BASE_RE.match(text)
-    if m:
-        i, lvl = int(m.group(1)), int(m.group(2))
-        if lvl != k:
-            raise InstanceFormatError(
-                f"label {text!r} sits at level {lvl}, expected base level {k}"
-            )
-        return ("base", i)
-    raise InstanceFormatError(f"unrecognized vertex label {text!r}")
-
-
 def emit_gadget(gg: GadgetGraph, coloring: VertexColoring | None = None) -> str:
     """Serialize a gadget, with a coloring of it (a lifted one, say) when given."""
     labels = [label_text(lab, gg.k) for lab in gg.labels]
@@ -188,10 +165,12 @@ def emit_gadget(gg: GadgetGraph, coloring: VertexColoring | None = None) -> str:
 
 
 def parse_gadget(text: str) -> tuple[GadgetGraph, VertexColoring | None]:
-    """Read a gadget file into (gadget, coloring).
+    """Read a gadget file into (gadget, coloring): the gadget is rebuilt from its base layer.
 
-    ``coloring`` is None when the file has no ``coloring`` key; a lifted
-    coloring is read with the gadget level ``k`` as its budget.
+    The source graph is read off the edges between base copies and the source
+    pairs off ``pairs``; the file must equal ``build_gadget`` of them, ids
+    included.  ``coloring`` is None without a ``coloring`` key and is read
+    with the gadget level ``k`` as its budget.
     """
     obj = _load_object(text)
     g = _parse_graph(obj)
@@ -201,50 +180,43 @@ def parse_gadget(text: str) -> tuple[GadgetGraph, VertexColoring | None]:
     k = obj.get("k")
     if not _is_int(k) or k < 2:
         raise InstanceFormatError("gadget file must carry an integer 'k' >= 2")
-    raw_labels = obj.get("labels")
-    if not isinstance(raw_labels, list):
+    labels = obj.get("labels")
+    if not isinstance(labels, list):
         raise InstanceFormatError("gadget file must carry a list of vertex labels")
-    labels = tuple(parse_label(str(s), k) for s in raw_labels)
+    if len(labels) != g.n:
+        raise InstanceFormatError(f"bad gadget labels: {len(labels)} labels for {g.n} vertices")
+    names = {label_text(("base", i), k): i for i in range(g.n)}
+    index = {vid: names[s] for vid, s in enumerate(labels) if isinstance(s, str) and s in names}
+    n = len(index)
+    if not index or set(index.values()) != set(range(n)):
+        raise InstanceFormatError(
+            "bad gadget labels: base labels must name source vertices 0..n-1 once each"
+        )
+    if any(a not in index or b not in index for a, b in pairs):
+        raise InstanceFormatError("every gadget pair must join two base copies")
+    # A level-k gadget has k + 1 vertices per source vertex, a rung per
+    # non-requested pair and, at odd k, a clique of level-0 rungs: a file
+    # smaller than that is refused before a rebuild that could dwarf it.
+    m = n * (n - 1) // 2 - len(pairs)
+    not_gadget = f"file is not the level-{k} gadget of its base layer"
+    if n * (k + 1) + 2 * m > g.n or k % 2 and (n + m) * (2 * n + 2 * m - 1) > g.m:
+        raise InstanceFormatError(not_gadget)
+    edges = ((index[u], index[v]) for u, v in g.edges if u in index and v in index)
+    source_pairs = pair_set((index[a], index[b]) for a, b in pairs)
     try:
-        gg = GadgetGraph(g, k, labels, pairs)
+        gg = build_gadget(graph_from_edges(n, edges), source_pairs, k)
     except ValueError as e:
-        raise InstanceFormatError(f"bad gadget labels: {e}") from None
+        raise InstanceFormatError(f"base layer admits no gadget: {e}") from None
+    if (gg.graph, gg.pairs_k) != (g, pairs) or labels != [label_text(x, k) for x in gg.labels]:
+        raise InstanceFormatError(not_gadget)
     return gg, _parse_coloring(obj, g)
 
 
-# ---------------------------------------------------------------------------
-# DOT export
+def emit_gadget_dot(gg: GadgetGraph) -> str:
+    """Render a gadget as Graphviz DOT text, clustered by level.
 
-
-def emit_dot(obj, pairs: PairSet | None = None) -> str:
-    """Render a graph or a gadget as Graphviz DOT text.
-
-    Gadgets come out clustered by level, with base vertices doubled and
-    requested pairs drawn as dashed red non-constraint edges.
+    Base vertices are doubled, base edges bold and requested pairs dashed red.
     """
-    if isinstance(obj, GadgetGraph):
-        return _gadget_dot(obj)
-    return _plain_dot(obj, pairs)
-
-
-def _pair_edge_lines(pairs: PairSet | None) -> list:
-    if not pairs:
-        return []
-    return [
-        f"  {a} -- {b} [style=dashed, color=red, constraint=false];" for a, b in pairs
-    ]
-
-
-def _plain_dot(g: Graph, pairs: PairSet | None) -> str:
-    lines = ["graph G {", "  node [shape=circle];"]
-    lines += [f"  {v};" for v in range(g.n)]
-    lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)]
-    lines += _pair_edge_lines(pairs)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _gadget_dot(gg: GadgetGraph) -> str:
     by_level: dict = {}
     for vid, lab in enumerate(gg.labels):
         by_level.setdefault(label_level(lab, gg.k), []).append(vid)
@@ -265,3 +237,21 @@ def _gadget_dot(gg: GadgetGraph) -> str:
     lines += _pair_edge_lines(gg.pairs_k)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# DOT export
+
+
+def emit_dot(g: Graph, pairs: PairSet | None = None) -> str:
+    """Render a graph as Graphviz DOT text, requested pairs dashed and red."""
+    lines = ["graph G {", "  node [shape=circle];"]
+    lines += [f"  {v};" for v in range(g.n)]
+    lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)]
+    lines += _pair_edge_lines(pairs)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _pair_edge_lines(pairs: PairSet | None) -> list:
+    return [f"  {a} -- {b} [style=dashed, color=red, constraint=false];" for a, b in pairs or ()]

@@ -9,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvckit import io as rvckit_io
-from rvckit.cli import _coloring_arg, build_parser, cli_main
+from rvckit.cli import _coloring_arg, _pairs_arg, build_parser, cli_main
 from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import coloring, pair_set
 from rvckit.io import emit_gadget, parse_gadget, parse_instance
+from test_io import (
+    all_hubs_but_one_base,
+    lifted_p3,
+    pair_off_the_base,
+    swap_vertex_0_and_last_base,
+)
 
 P5 = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}\n'
 P3_WITH_PAIR = '{"n": 3, "edges": [[0, 1], [1, 2]], "pairs": [[0, 2]]}\n'
@@ -211,6 +217,41 @@ class TestGadgetLiftProject:
         assert captured.out == ""
         assert "base labels must name source vertices 0..n-1 once each" in captured.err
 
+    @pytest.mark.parametrize(
+        "edit", [swap_vertex_0_and_last_base, all_hubs_but_one_base, pair_off_the_base]
+    )
+    def test_project_rejects_an_edited_gadget_file(self, edit, tmp_path, capsys):
+        path = tmp_path / "edited.json"
+        obj = lifted_p3()
+        path.write_text(json.dumps(obj))
+        assert cli_main(["project", "-i", str(path)]) == 0
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli_main(["project", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_project_reads_a_coloring_file_at_the_gadget_level(self, p3_file, tmp_path, capsys):
+        gadget, lifted = tmp_path / "gadget.json", tmp_path / "lifted.json"
+        assert cli_main(["gadget", "-i", p3_file, "-k", "4", "-o", str(gadget)]) == 0
+        args = ["lift", "-i", p3_file, "-k", "4", "--coloring", "[1, 2, 1]", "-o", str(lifted)]
+        assert cli_main(args) == 0
+        obj = json.loads(lifted.read_text())
+        obj["k"] = 9
+        lifted.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli_main(["project", "-i", str(gadget), "--coloring", str(lifted)]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 4
+
+    def test_project_rejects_an_inline_color_above_the_level(self, p3_file, tmp_path, capsys):
+        gadget = tmp_path / "gadget.json"
+        assert cli_main(["gadget", "-i", p3_file, "-k", "2", "-o", str(gadget)]) == 0
+        capsys.readouterr()
+        n = json.loads(gadget.read_text())["n"]
+        assert cli_main(["project", "-i", str(gadget), "--coloring", json.dumps([3] * n)]) == 2
+        assert "color 3, outside budget 2" in capsys.readouterr().err
+
     def test_project_without_any_coloring_fails(self, p3_file, tmp_path, capsys):
         bare = tmp_path / "bare.json"
         assert cli_main(["gadget", "-i", p3_file, "-k", "2", "-o", str(bare)]) == 0
@@ -401,15 +442,37 @@ _GADGET_OBJECTS = [
 ]
 
 
+def _edit_gadget(draw, obj) -> None:
+    """One edit that keeps the JSON well-formed but leaves no gadget behind."""
+    n = obj["n"]
+    edit = draw(st.sampled_from(["swap labels", "add edge", "drop edge", "add pair"]))
+    if edit == "swap labels":
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        labels = obj["labels"] = list(obj["labels"])
+        labels[a], labels[b] = labels[b], labels[a]
+    elif edit == "drop edge":
+        obj["edges"] = list(obj["edges"])
+        del obj["edges"][draw(st.integers(0, len(obj["edges"]) - 1))]
+    else:
+        key = "edges" if edit == "add edge" else "pairs"
+        absent = [[a, b] for a in range(n) for b in range(a + 1, n) if [a, b] not in obj[key]]
+        obj[key] = sorted(obj[key] + [draw(st.sampled_from(absent))])
+
+
 @st.composite
 def _instance_objects(draw):
-    """An instance or gadget object, mostly well-formed, with fields dropped or replaced.
+    """An instance or gadget object, mostly well-formed, and whether it is an edited gadget.
 
-    Each field is kept, dropped or swapped for arbitrary JSON, so the parsers'
+    A gadget is either given one edit that leaves no gadget behind (the
+    object is then returned with True) or treated like an instance: each
+    field is kept, dropped or swapped for arbitrary JSON, so the parsers'
     checks are passed about as often as they are tripped.
     """
     if draw(st.booleans()):
         obj = dict(draw(st.sampled_from(_GADGET_OBJECTS)))
+        if draw(st.booleans()):
+            _edit_gadget(draw, obj)
+            return obj, True
     else:
         n = draw(st.integers(1, 6))
         pairs = st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=8)
@@ -424,7 +487,7 @@ def _instance_objects(draw):
         elif action == "junk":
             obj[key] = draw(_json)
     obj.update(draw(st.dictionaries(st.text(max_size=3), _json, max_size=2)))
-    return obj
+    return obj, False
 
 
 _FILE_COMMANDS = [
@@ -440,9 +503,13 @@ _FILE_COMMANDS = [
 
 
 @settings(max_examples=200, deadline=None)
-@given(obj=_instance_objects())
-def test_fuzzed_files_never_crash_the_cli(tmp_path_factory, obj):
-    """Exit 2 whenever the file does not parse, and never exit 3 (a crash)."""
+@given(drawn=_instance_objects())
+def test_fuzzed_files_never_crash_the_cli(tmp_path_factory, drawn):
+    """Exit 2 whenever the file does not parse, and never exit 3 (a crash).
+
+    An edited gadget file must not parse, so ``project`` exits 2 on it.
+    """
+    obj, edited = drawn
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     text = json.dumps(obj)
     path.write_text(text)
@@ -459,3 +526,77 @@ def test_fuzzed_files_never_crash_the_cli(tmp_path_factory, obj):
         assert code != 3, f"{command} crashed on {text}:\n{err.getvalue()}"
         if malformed:
             assert code == 2, f"{command} exited {code} on malformed {text}"
+        if edited and command == "project":
+            assert malformed, f"an edited gadget parsed: {text}"
+
+
+# Fuzzing: inline JSON for --pairs and --coloring, and integers for -k.
+
+_K_MINIMUM = {"decide": 0, "subset": 1, "gadget": 2, "lift": 2}
+
+
+def _pairs_json(n):
+    pairs = st.lists(st.lists(st.integers(-1, n), min_size=2, max_size=2), max_size=4)
+    return pairs | st.fixed_dictionaries({"pairs": pairs}) | _json
+
+
+def _coloring_json(n, top):
+    colorings = st.lists(st.integers(-1, top), min_size=n - 1, max_size=n + 1)
+    declared = st.fixed_dictionaries({"coloring": colorings, "k": st.integers(-1, top + 2)})
+    return colorings | declared | _json
+
+
+@st.composite
+def _argument_cases(draw):
+    """A subcommand with drawn --pairs, --coloring and -k arguments, each given or left out.
+
+    Arguments are drawn mostly well-formed.  ``decide`` and ``subset`` also
+    get budgets far above n; ``gadget`` and ``lift`` get levels in -2..8.
+    """
+    command = draw(st.sampled_from(["subset", "verify", "decide", "gadget", "lift", "project"]))
+    n = 23 if command == "project" else 3  # the P3 gadget at k = 3 has 23 vertices
+    args = {}
+    if command in ("subset", "verify", "gadget", "lift") and draw(st.booleans()):
+        args["--pairs"] = draw(_pairs_json(n))
+    if command in ("verify", "lift", "project") and draw(st.booleans()):
+        args["--coloring"] = draw(_coloring_json(n, 4))
+    if command in ("decide", "subset"):
+        args["-k"] = draw(st.integers(-2, 8) | st.integers(10**3, 10**18))
+    elif command in ("gadget", "lift"):
+        args["-k"] = draw(st.integers(-2, 8))
+    return command, args
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_argument_cases())
+def test_fuzzed_arguments_never_crash_the_cli(tmp_path_factory, case):
+    """Exit 2 whenever an argument is rejected, and never exit 3 (a crash)."""
+    command, args = case
+    base = tmp_path_factory.getbasetemp()
+    source = base / "p3-args.json"
+    source.write_text('{"n": 3, "edges": [[0, 1], [1, 2]], "pairs": [[0, 2]], "coloring": [1, 2, 1]}\n')
+    gadget = base / "p3-lifted-args.json"
+    gadget.write_text(json.dumps(lifted_p3()))
+    path = gadget if command == "project" else source
+    g = parse_gadget(gadget.read_text())[0].graph if command == "project" else path_graph(3)
+    argv = [command, "-i", str(path)]
+    rejected = False
+    for flag, value in args.items():
+        text = json.dumps(value) if flag != "-k" else str(value)
+        argv += [flag, text]
+        try:
+            if flag == "--pairs":
+                _pairs_arg(text, g)
+            elif flag == "--coloring":
+                _coloring_arg(text, g)
+            elif value < _K_MINIMUM[command]:
+                rejected = True
+        except ValueError:
+            rejected = True
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        code = cli_main(argv)
+    assert code != 3, f"{argv} crashed:\n{err.getvalue()}"
+    if rejected:
+        assert code == 2, f"{argv} exited {code} on a rejected argument"

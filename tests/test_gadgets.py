@@ -283,6 +283,20 @@ class TestLiftColoring:
         ck = lift_coloring(gg, c)
         assert project_coloring(gg, ck) == c
 
+    def test_project_reads_the_coloring_at_the_gadget_level(self):
+        gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 4)
+        ck = lift_coloring(gg, coloring([1, 2, 1], k=4))
+        # A budget declared above the level is not carried over, nor one inferred below it.
+        assert project_coloring(gg, coloring(ck.colors, k=9)) == coloring([1, 2, 1], k=4)
+        assert project_coloring(gg, coloring([1] * gg.graph.n)) == coloring([1, 1, 1], k=4)
+
+    def test_project_rejects_a_color_above_the_level(self):
+        gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 4)
+        colors = list(lift_coloring(gg, coloring([1, 2, 1], k=4)).colors)
+        colors[0] = 5
+        with pytest.raises(ValueError, match="color 5, outside budget 4"):
+            project_coloring(gg, coloring(colors, k=9))
+
     def test_levels_deeper_than_the_recursion_limit(self):
         # Each level step is a loop iteration, so a level far above the
         # recursion limit builds and lifts; P2 gains 4 vertices per step.

@@ -1,17 +1,20 @@
+import json
+
 import pytest
 
 from rvckit.families import complete_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import EMPTY_PAIRS, all_vertex_pairs, coloring, pair_set
+from rvckit.harness import gadget_sweep_instances
 from rvckit.io import (
     InstanceFormatError,
     emit_dot,
     emit_gadget,
+    emit_gadget_dot,
     emit_instance,
     label_text,
     parse_gadget,
     parse_instance,
-    parse_label,
 )
 
 
@@ -105,13 +108,14 @@ class TestLabels:
     )
     def test_text_and_parse_are_inverse(self, label, k, text):
         assert label_text(label, k) == text
-        assert parse_label(text, k) == label
 
     def test_parse_rejects_garbage(self):
+        text = emit_gadget(build_gadget(path_graph(3), pair_set([(0, 2)]), 2))
+        assert text.count('"v_{0,0}^{(1)}"') == 1 and text.count('"v_{0,2}"') == 1
         with pytest.raises(InstanceFormatError):
-            parse_label("x_{0,0}", 2)
+            parse_gadget(text.replace('"v_{0,0}^{(1)}"', '"x_{0,0}"'))
         with pytest.raises(InstanceFormatError):
-            parse_label("v_{0,3}", 2)  # base label at the wrong level
+            parse_gadget(text.replace('"v_{0,2}"', '"v_{0,3}"'))  # base label at the wrong level
 
 
 class TestGadgetFiles:
@@ -159,6 +163,73 @@ class TestGadgetFiles:
             parse_gadget(text)
 
 
+
+def lifted_p3() -> dict:
+    """The P3 gadget at k = 3 for the pair (0, 2), with the lift of [1, 2, 1]."""
+    gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 3)
+    return json.loads(emit_gadget(gg, coloring=lift_coloring(gg, coloring([1, 2, 1], k=3))))
+
+
+def swap_vertex_0_and_last_base(obj):
+    labels = obj["labels"]
+    labels[0], labels[-1] = labels[-1], labels[0]
+
+
+def all_hubs_but_one_base(obj):
+    obj["labels"] = ["u"] * (obj["n"] - 1) + ["v_{0,3}"]
+
+
+def pair_off_the_base(obj):
+    obj["pairs"] = [[0, 1]] + obj["pairs"]
+
+
+class TestGadgetFilesAreRebuilt:
+    """A gadget file must be build_gadget of its own base layer, ids included."""
+
+    def test_reads_the_unedited_file(self):
+        gg, ck = parse_gadget(json.dumps(lifted_p3()))
+        assert (gg.k, gg.source_n, ck.colors[-3:]) == (3, 3, (1, 2, 1))
+
+    @pytest.mark.parametrize(
+        "edit", [swap_vertex_0_and_last_base, all_hubs_but_one_base, pair_off_the_base]
+    )
+    def test_edited_files_are_rejected(self, edit):
+        obj = lifted_p3()
+        edit(obj)
+        with pytest.raises(InstanceFormatError):
+            parse_gadget(json.dumps(obj))
+
+    def test_permuted_ids_are_rejected(self):
+        # Reversed vertex ids give the same gadget up to isomorphism only.
+        obj = lifted_p3()
+        last = obj["n"] - 1
+        obj["edges"] = sorted(sorted([last - u, last - v]) for u, v in obj["edges"])
+        obj["pairs"] = [sorted([last - a, last - b]) for a, b in obj["pairs"]]
+        obj["labels"].reverse()
+        obj["coloring"].reverse()
+        with pytest.raises(InstanceFormatError, match="not the level-3 gadget"):
+            parse_gadget(json.dumps(obj))
+
+    def test_a_file_too_small_for_its_level_is_never_rebuilt(self, monkeypatch):
+        # At k = 10**9 a rebuild would not fit in memory; the size bound refuses it first.
+        monkeypatch.setattr("rvckit.io.build_gadget", None)
+        k = 10**9
+        labels = [label_text(("base", 0), k), label_text(("base", 1), k)]
+        obj = {"n": 2, "edges": [[0, 1]], "pairs": [], "k": k, "labels": labels}
+        with pytest.raises(InstanceFormatError, match=f"not the level-{k} gadget"):
+            parse_gadget(json.dumps(obj))
+
+    def test_every_sweep_gadget_round_trips_and_a_label_swap_does_not(self):
+        for g, p, k in gadget_sweep_instances(4, (2, 3, 4, 5)):
+            gg = build_gadget(g, p, k)
+            obj = json.loads(emit_gadget(gg))
+            assert parse_gadget(json.dumps(obj)) == (gg, None)
+            labels = obj["labels"]
+            labels[0], labels[-1] = labels[-1], labels[0]
+            with pytest.raises(InstanceFormatError):
+                parse_gadget(json.dumps(obj))
+
+
 class TestDot:
     def test_plain_graph(self):
         text = emit_dot(path_graph(3), pairs=pair_set([(0, 2)]))
@@ -170,7 +241,7 @@ class TestDot:
     def test_gadget_rendering(self):
         g = complete_graph(3)
         gg = build_gadget(g, all_vertex_pairs(g), 2)
-        text = emit_dot(gg)
+        text = emit_gadget_dot(gg)
         assert 'label="hub"' in text
         assert 'label="level 0"' in text
         assert 'label="level 2"' in text
