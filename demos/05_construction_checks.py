@@ -37,18 +37,18 @@ gg = build_gadget(g, p, 2)
 witness = decide_subset_rvc(g, p, 2).witness  # a source coloring to lift
 
 shortcut = corrupt_shortcut(gg)  # an edge that undercuts a requested detour
-print("\nshortcut corruption:", check_pair_distances(shortcut, "demo").detail)
+print("\nshortcut corruption:", check_pair_distances(shortcut).detail)
 
 unhooked = corrupt_unhook(gg)  # detaches a non-requested pair's shortcut
-print("unhook corruption:", check_nonpair_distances(unhooked, "demo").detail)
+print("unhook corruption:", check_nonpair_distances(unhooked).detail)
 
 cut = corrupt_base_cut(gg)  # removes a requested base edge
-print("base-cut corruption:", check_lift_validity(cut, witness, "demo").detail)
+print("base-cut corruption:", check_lift_validity(cut, witness).detail)
 
 # The healthy gadget passes all three, of course.
 print(
     "\nhealthy gadget:",
-    check_pair_distances(gg, "demo").status,
-    check_nonpair_distances(gg, "demo").status,
-    check_lift_validity(gg, witness, "demo").status,
+    check_pair_distances(gg).status,
+    check_nonpair_distances(gg).status,
+    check_lift_validity(gg, witness).status,
 )

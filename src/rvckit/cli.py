@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .gadgets import build_gadget, lift_coloring, pendant_reduction, project_coloring
-from .graphs import Graph, PairSet, VertexColoring, graph_from_edges
+from .graphs import Graph, PairSet, VertexColoring
 from .harness import SUITE_NAMES, run_suite
 from .io import (
     InstanceFormatError,
@@ -183,12 +183,7 @@ def _cmd_lift(args) -> int:
 def _cmd_project(args) -> int:
     gg, ck = parse_gadget(_read_file(args.input))
     ck = _required_coloring(args, gg.graph, ck)
-    c = project_coloring(gg, ck)
-    index = {vid: i for i, vid in enumerate(gg.base)}
-    source = graph_from_edges(
-        gg.source_n, ((index[u], index[v]) for u, v in gg.base_edges)
-    )
-    _write_or_print(emit_instance(source, coloring=c), args.out)
+    _write_or_print(emit_instance(gg.source, coloring=project_coloring(gg, ck)), args.out)
     return 0
 
 

@@ -31,6 +31,11 @@ base last), which keeps emitted files and golden tests stable.  Everything
 else about a vertex is a closed form of its label and k: its level
 (``label_level``) and its color in the lift of a source coloring
 (``_lift_color``).
+
+A ``GadgetGraph`` records the source instance (G, P) and the level k it was
+built from.  Since the base layer comes last, the copy of source vertex i is
+vertex ``graph.n - G.n + i``: lifting reads G's size off the gadget,
+projecting is a slice, and a check names its instance without being told.
 """
 
 from __future__ import annotations
@@ -101,40 +106,32 @@ def pendant_project(inst: PendantInstance, cprime: VertexColoring) -> VertexColo
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """A level-k gadget with one structured label per vertex.
+    """The level-k gadget of the source instance (source, pairs), one label per vertex.
 
-    ``labels[vid]`` is the label of vertex vid; ``pairs_k`` transports the
-    requested pairs to the base layer.  The base layer is read off the
-    labels, here and nowhere else: ``base[i]`` is the id of the vertex
-    labelled ("base", i), and ``base_edges`` are the edges with both ends in
-    the base.  Construction raises ``ValueError`` unless there is one label
-    per vertex and the base labels name source vertices 0..n-1 once each.
+    ``labels[vid]`` is the label of vertex vid.  ``_structure`` writes the
+    base layer last, so its ids are a closed form of the two graphs' sizes:
+    ``base[i]`` is the id of the copy of source vertex i, ``pairs_k`` are the
+    requested pairs moved onto those copies, and ``base_edges`` are the
+    edges with both ends in the base.
     """
 
-    graph: Graph
+    source: Graph
+    pairs: PairSet
     k: int
+    graph: Graph
     labels: tuple
-    pairs_k: PairSet
     base: tuple = field(init=False, repr=False, compare=False)
+    pairs_k: PairSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.labels) != self.graph.n:
-            raise ValueError(f"{len(self.labels)} labels for {self.graph.n} vertices")
-        ids = [vid for vid, lab in enumerate(self.labels) if lab[0] == "base"]
-        slot = {self.labels[vid][1]: vid for vid in ids}
-        if not ids or slot.keys() != set(range(len(ids))):
-            raise ValueError("base labels must name source vertices 0..n-1 once each")
-        object.__setattr__(self, "base", tuple(slot[i] for i in range(len(ids))))
-
-    @property
-    def source_n(self) -> int:
-        return len(self.base)
+        s = self.graph.n - self.source.n
+        object.__setattr__(self, "base", tuple(range(s, self.graph.n)))
+        object.__setattr__(self, "pairs_k", pair_set((s + i, s + j) for i, j in self.pairs))
 
     @property
     def base_edges(self) -> frozenset:
         """The base-layer copy of the source graph's edges, in gadget ids."""
-        inside = set(self.base)
-        return frozenset(e for e in self.graph.edges if e[0] in inside and e[1] in inside)
+        return frozenset(e for e in self.graph.edges if e[0] >= self.base[0])
 
 
 def nonrequested_pairs(n: int, p: PairSet) -> list:
@@ -258,11 +255,9 @@ def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
         raise ValueError("gadget construction expects a connected graph")
     p.check_in_range(g)
     labels, edges = _structure(g, p, k)
-    s = len(labels) - g.n  # the base layer comes last
-    pairs_k = pair_set((s + i, s + j) for i, j in p)
     # Graph validates every edge; _structure emits them already ordered.
     graph = Graph(len(labels), frozenset(edges))
-    return GadgetGraph(graph, k, tuple(labels), pairs_k)
+    return GadgetGraph(g, p, k, graph, tuple(labels))
 
 
 def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:
@@ -272,9 +267,9 @@ def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:
     the lift makes the whole gadget rainbow vertex-connected with the same
     budget gg.k.  Every vertex's color follows from its label alone.
     """
-    if len(c.colors) != gg.source_n:
+    if len(c.colors) != gg.source.n:
         raise ValueError(
-            f"coloring has {len(c.colors)} entries, source graph has {gg.source_n} vertices"
+            f"coloring has {len(c.colors)} entries, source graph has {gg.source.n} vertices"
         )
     if max(c.colors) > gg.k:
         raise ValueError(f"coloring uses color {max(c.colors)}, outside budget {gg.k}")
@@ -286,4 +281,4 @@ def project_coloring(gg: GadgetGraph, ck: VertexColoring) -> VertexColoring:
     check_total_coloring(gg.graph, ck)
     if max(ck.colors) > gg.k:
         raise ValueError(f"coloring uses color {max(ck.colors)}, outside budget {gg.k}")
-    return VertexColoring(tuple(ck.colors[b] for b in gg.base), gg.k)
+    return VertexColoring(ck.colors[gg.base[0]:], gg.k)

@@ -6,7 +6,8 @@ carries a concrete counterexample that can be re-checked by hand from the
 instance description.
 
 Each gadget check takes the gadget it inspects, so a corrupted gadget is
-checked like a built one.  ``run_suite`` is the one runner: it passes the
+checked like a built one, and its report names the source instance the
+gadget records.  ``run_suite`` is the one runner: it passes the
 (check, g, p, k) jobs of ``suite_jobs`` to ``run_check``, which builds what
 each named check takes from the source instance.
 
@@ -21,12 +22,13 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .families import all_pair_sets, connected_graphs
+from .families import all_pair_sets, connected_graphs, cycle_graph, path_graph
 from .gadgets import (
     GadgetGraph,
     build_gadget,
     label_level,
     lift_coloring,
+    nonrequested_pairs,
     pendant_reduction,
     project_coloring,
 )
@@ -79,9 +81,9 @@ def _stripped_distance(gg: GadgetGraph):
     BFS row, computed on first use.
     """
     adj = list(gg.graph.adjacency)
-    inside = set(gg.base)
+    s = gg.base[0]
     for x in gg.base:
-        adj[x] = [y for y in adj[x] if y not in inside]
+        adj[x] = [y for y in adj[x] if y < s]
     rows = {}
 
     def dist(a: int, b: int):
@@ -94,8 +96,9 @@ def _stripped_distance(gg: GadgetGraph):
     return dist
 
 
-def check_pair_distances(gg: GadgetGraph, instance: str = "") -> ClaimReport:
+def check_pair_distances(gg: GadgetGraph) -> ClaimReport:
     """Requested base pairs sit at distance >= k+2 once base edges are removed."""
+    instance = describe_instance(gg.source, gg.pairs, gg.k)
     dist = _stripped_distance(gg)
     bound = gg.k + 2
     for a, b in gg.pairs_k:
@@ -110,14 +113,13 @@ def check_pair_distances(gg: GadgetGraph, instance: str = "") -> ClaimReport:
     return ClaimReport("pair-distance", instance, "pass")
 
 
-def check_nonpair_distances(gg: GadgetGraph, instance: str = "") -> ClaimReport:
+def check_nonpair_distances(gg: GadgetGraph) -> ClaimReport:
     """Non-requested base pairs sit at distance exactly k+1 without base edges."""
+    instance = describe_instance(gg.source, gg.pairs, gg.k)
     dist = _stripped_distance(gg)
     want = gg.k + 1
-    for i, j in combinations(range(gg.source_n), 2):
-        a, b = normalize_pair(gg.base[i], gg.base[j])
-        if (a, b) in gg.pairs_k:
-            continue
+    for i, j in nonrequested_pairs(gg.source.n, gg.pairs):
+        a, b = gg.base[i], gg.base[j]
         d = dist(a, b)
         if d != want:
             return ClaimReport(
@@ -129,12 +131,13 @@ def check_nonpair_distances(gg: GadgetGraph, instance: str = "") -> ClaimReport:
     return ClaimReport("nonpair-distance", instance, "pass")
 
 
-def check_path_confinement(gg: GadgetGraph, instance: str = "") -> ClaimReport:
+def check_path_confinement(gg: GadgetGraph) -> ClaimReport:
     """Short paths between requested base pairs never leave the base layer."""
-    base_set = set(gg.base)
+    instance = describe_instance(gg.source, gg.pairs, gg.k)
+    s = gg.base[0]
     for a, b in gg.pairs_k:
         for path in simple_paths(gg.graph, a, b, gg.k + 1):
-            if any(v not in base_set for v in path):
+            if any(v < s for v in path):
                 return ClaimReport(
                     "confinement",
                     instance,
@@ -144,14 +147,13 @@ def check_path_confinement(gg: GadgetGraph, instance: str = "") -> ClaimReport:
     return ClaimReport("confinement", instance, "pass")
 
 
-def check_lift_validity(
-    gg: GadgetGraph, witness: VertexColoring | None, instance: str = ""
-) -> ClaimReport:
+def check_lift_validity(gg: GadgetGraph, witness: VertexColoring | None) -> ClaimReport:
     """A source witness coloring, lifted onto the gadget, rainbow-connects it.
 
     ``witness`` colors the source graph the gadget was built from; None means
     the source instance has no witness at all, and the check is skipped.
     """
+    instance = describe_instance(gg.source, gg.pairs, gg.k)
     if witness is None:
         return ClaimReport("lift-validity", instance, "skip", "no witness coloring exists")
     unserved = first_unserved_pair(gg.graph, lift_coloring(gg, witness))
@@ -216,11 +218,11 @@ def check_pendant_equivalence(g: Graph, k: int) -> ClaimReport:
 
 def corrupt_shortcut(gg: GadgetGraph) -> GadgetGraph | None:
     """Add an edge that undercuts the detour of the first requested pair."""
-    pairs = list(gg.pairs_k)
+    pairs = list(gg.pairs)
     if not pairs:
         return None
-    a, b = pairs[0]
-    i = gg.base.index(a)
+    i, j = pairs[0]
+    b = gg.base[j]
     rung = gg.labels.index(("v", i, gg.k - 2, 1))
     edges = set(gg.graph.edges)
     edges.add(normalize_pair(rung, b))
@@ -229,20 +231,20 @@ def corrupt_shortcut(gg: GadgetGraph) -> GadgetGraph | None:
 
 def corrupt_unhook(gg: GadgetGraph) -> GadgetGraph | None:
     """Detach the shortcut rung of the first non-requested pair from the levels above it."""
-    for i, j in combinations(range(gg.source_n), 2):
-        if normalize_pair(gg.base[i], gg.base[j]) in gg.pairs_k:
-            continue
-        drop = []
-        for a in (1, 2):
-            x = gg.labels.index(("w", i, j, a))
-            level = label_level(gg.labels[x], gg.k)
-            drop += [
-                (x, y)
-                for y in gg.graph.neighbors(x)
-                if label_level(gg.labels[y], gg.k) > level
-            ]
-        return replace(gg, graph=remove_edges(gg.graph, drop))
-    return None
+    nonpairs = nonrequested_pairs(gg.source.n, gg.pairs)
+    if not nonpairs:
+        return None
+    i, j = nonpairs[0]
+    drop = []
+    for a in (1, 2):
+        x = gg.labels.index(("w", i, j, a))
+        level = label_level(gg.labels[x], gg.k)
+        drop += [
+            (x, y)
+            for y in gg.graph.neighbors(x)
+            if label_level(gg.labels[y], gg.k) > level
+        ]
+    return replace(gg, graph=remove_edges(gg.graph, drop))
 
 
 def corrupt_base_cut(gg: GadgetGraph) -> GadgetGraph | None:
@@ -275,17 +277,16 @@ _CHECKS = (
 
 def run_check(check: str, g: Graph, p: PairSet | None, k: int) -> ClaimReport:
     """Run one named check on one instance."""
-    instance = describe_instance(g, p, k)
     gadget_checks = {
         "pair-distance": check_pair_distances,
         "nonpair-distance": check_nonpair_distances,
         "confinement": check_path_confinement,
     }
     if check in gadget_checks:
-        return gadget_checks[check](_cached_gadget(g, p, k), instance)
+        return gadget_checks[check](_cached_gadget(g, p, k))
     if check == "lift-validity":
         witness = decide_subset_rvc(g, p, k).witness
-        return check_lift_validity(_cached_gadget(g, p, k), witness, instance)
+        return check_lift_validity(_cached_gadget(g, p, k), witness)
     if check == "equivalence":
         return check_reduction_equivalence(g, p, k)
     if check == "pendant-equivalence":
@@ -305,8 +306,6 @@ def gadget_sweep_instances(max_n: int, ks) -> list:
 
 def equivalence_fixture_instances() -> list:
     """Three small instances whose gadgets stay within exhaustive reach."""
-    from .families import cycle_graph, path_graph
-
     c5 = cycle_graph(5)
     p5 = path_graph(5)
     p3 = path_graph(3)

@@ -12,8 +12,8 @@ from rvckit import io as rvckit_io
 from rvckit.cli import _coloring_arg, _pairs_arg, build_parser, cli_main
 from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
-from rvckit.graphs import coloring, pair_set
-from rvckit.io import emit_gadget, parse_gadget, parse_instance
+from rvckit.graphs import coloring, graph_from_edges, pair_set
+from rvckit.io import emit_gadget, emit_instance, parse_gadget, parse_instance
 from test_io import (
     all_hubs_but_one_base,
     lifted_p3,
@@ -232,6 +232,22 @@ class TestGadgetLiftProject:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_project_reads_a_base_chord_as_a_source_edge(self, tmp_path, capsys):
+        # A chord between two base copies leaves a genuine gadget: the
+        # gadget of the source graph with that chord added.
+        c4, pairs = cycle_graph(4), pair_set([(0, 2), (1, 3)])
+        gg = build_gadget(c4, pairs, 2)
+        obj = json.loads(emit_gadget(gg))
+        assert gg.base[0] == 17
+        obj["edges"] = sorted(obj["edges"] + [[17, 19]])
+        path, lifted = tmp_path / "chorded.json", tmp_path / "lifted.json"
+        path.write_text(json.dumps(obj))
+        lifted.write_text(emit_gadget(gg, coloring=lift_coloring(gg, coloring([1, 2, 1, 2], 2))))
+        chorded = graph_from_edges(4, [*c4.edges, (0, 2)])
+        assert parse_gadget(path.read_text())[0] == build_gadget(chorded, pairs, 2)
+        assert cli_main(["project", "-i", str(path), "--coloring", str(lifted)]) == 0
+        assert capsys.readouterr().out == emit_instance(chorded, coloring=coloring([1, 2, 1, 2], 2))
+
     def test_project_reads_a_coloring_file_at_the_gadget_level(self, p3_file, tmp_path, capsys):
         gadget, lifted = tmp_path / "gadget.json", tmp_path / "lifted.json"
         assert cli_main(["gadget", "-i", p3_file, "-k", "4", "-o", str(gadget)]) == 0
@@ -429,10 +445,11 @@ _LABELS = [
 
 
 def _gadget_object(g, pairs, colors):
+    """A lifted gadget file as a JSON object, and the id of its first base copy."""
     gg = build_gadget(g, pair_set(pairs), 2)
     obj = json.loads(emit_gadget(gg))
     obj["coloring"] = list(lift_coloring(gg, coloring(colors, 2)).colors)
-    return obj
+    return obj, gg.base[0]
 
 
 # Real gadget files, so that mutations of them reach past parse_gadget.
@@ -442,8 +459,13 @@ _GADGET_OBJECTS = [
 ]
 
 
-def _edit_gadget(draw, obj) -> None:
-    """One edit that keeps the JSON well-formed but leaves no gadget behind."""
+def _edit_gadget(draw, obj, base) -> None:
+    """One edit that keeps the JSON well-formed but leaves no gadget behind.
+
+    An edge added or dropped between two base copies (ids >= base) would
+    leave the gadget of another source graph, so edited edges have an end
+    below base.
+    """
     n = obj["n"]
     edit = draw(st.sampled_from(["swap labels", "add edge", "drop edge", "add pair"]))
     if edit == "swap labels":
@@ -452,10 +474,11 @@ def _edit_gadget(draw, obj) -> None:
         labels[a], labels[b] = labels[b], labels[a]
     elif edit == "drop edge":
         obj["edges"] = list(obj["edges"])
-        del obj["edges"][draw(st.integers(0, len(obj["edges"]) - 1))]
+        obj["edges"].remove(draw(st.sampled_from([e for e in obj["edges"] if e[0] < base])))
     else:
         key = "edges" if edit == "add edge" else "pairs"
-        absent = [[a, b] for a in range(n) for b in range(a + 1, n) if [a, b] not in obj[key]]
+        top = base if key == "edges" else n
+        absent = [[a, b] for a in range(top) for b in range(a + 1, n) if [a, b] not in obj[key]]
         obj[key] = sorted(obj[key] + [draw(st.sampled_from(absent))])
 
 
@@ -469,9 +492,10 @@ def _instance_objects(draw):
     checks are passed about as often as they are tripped.
     """
     if draw(st.booleans()):
-        obj = dict(draw(st.sampled_from(_GADGET_OBJECTS)))
+        obj, base = draw(st.sampled_from(_GADGET_OBJECTS))
+        obj = dict(obj)
         if draw(st.booleans()):
-            _edit_gadget(draw, obj)
+            _edit_gadget(draw, obj, base)
             return obj, True
     else:
         n = draw(st.integers(1, 6))

@@ -9,7 +9,6 @@ from strategies import connected_graphs_st
 
 from rvckit.families import complete_graph, cycle_graph, path_graph
 from rvckit.gadgets import (
-    GadgetGraph,
     build_gadget,
     label_level,
     lift_coloring,
@@ -162,24 +161,6 @@ class TestGadgetStructure:
             digest.update(repr((gg.base, tuple(gg.pairs_k), sorted(gg.base_edges))).encode())
         assert len(instances) == 1726
         assert digest.hexdigest() == "6576dd53fd1df35c18b7e31f8aee5fd73d02a21bce8909802d9192d875327ced"
-
-    def test_base_layer_is_derived_from_the_labels(self):
-        gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 2)
-        again = GadgetGraph(gg.graph, gg.k, gg.labels, gg.pairs_k)
-        assert again == gg
-        assert again.base == (11, 12, 13)
-        assert again.base_edges == frozenset({(11, 12), (12, 13)})
-
-    def test_rejects_labels_that_do_not_fit_the_graph(self):
-        gg = build_gadget(path_graph(3), pair_set([(0, 2)]), 2)
-        with pytest.raises(ValueError, match="13 labels for 14 vertices"):
-            GadgetGraph(gg.graph, gg.k, gg.labels[:-1], gg.pairs_k)
-        repeated = gg.labels[:-1] + (("base", 1),)
-        with pytest.raises(ValueError, match="base labels"):
-            GadgetGraph(gg.graph, gg.k, repeated, gg.pairs_k)
-        no_base = gg.labels[:-3] + (("hub",),) * 3
-        with pytest.raises(ValueError, match="base labels"):
-            GadgetGraph(gg.graph, gg.k, no_base, gg.pairs_k)
 
     def test_rebuild_is_identical(self):
         g = cycle_graph(4)
@@ -341,6 +322,10 @@ def test_gadget_invariants_hold_generically(g, k, data):
     # every requested pair exists in the base image
     for a, b in gg.pairs_k:
         assert a in gg.base and b in gg.base
+    # the gadget records its instance, and base ids agree with the labels
+    assert (gg.source, gg.pairs) == (g, p)
+    for i, vid in enumerate(gg.base):
+        assert gg.labels[vid] == ("base", i)
 
 
 @given(connected_graphs_st(max_n=4), st.integers(2, 4))

@@ -82,8 +82,9 @@ class TestChecksOnHealthyGadgets:
         assert check_lift_validity(small_gadget(2), witness).status == "pass"
 
     def test_lift_validity_skips_without_witness(self):
-        r = check_lift_validity(small_gadget(2), None, "demo")
-        assert r == ClaimReport("lift-validity", "demo", "skip", "no witness coloring exists")
+        r = check_lift_validity(small_gadget(2), None)
+        instance = describe_instance(P3, P3_PAIR, 2)
+        assert r == ClaimReport("lift-validity", instance, "skip", "no witness coloring exists")
         # Through the sweep: P5 with every pair requested needs more than 2 colors.
         g = path_graph(5)
         r = run_check("lift-validity", g, all_vertex_pairs(g), 2)
@@ -151,6 +152,21 @@ class TestCorruptions:
         empty = build_gadget(g, pair_set([]), 2)
         assert corrupt_shortcut(empty) is None
         assert corrupt_base_cut(empty) is None
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_reports_name_the_source_instance(self, k):
+        # A corrupted gadget keeps its source and pairs, so every gadget
+        # check names the instance the gadget was built from.
+        want = describe_instance(P3, P3_PAIR, k)
+        witness = decide_subset_rvc(P3, P3_PAIR, k).witness
+        for gg in (small_gadget(k), corrupt_shortcut(small_gadget(k))):
+            reports = [
+                check_pair_distances(gg),
+                check_nonpair_distances(gg),
+                check_path_confinement(gg),
+                check_lift_validity(gg, witness),
+            ]
+            assert {r.instance for r in reports} == {want}
 
     def test_corruption_does_not_mutate_the_original(self):
         gg = small_gadget(2)

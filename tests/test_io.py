@@ -188,7 +188,7 @@ class TestGadgetFilesAreRebuilt:
 
     def test_reads_the_unedited_file(self):
         gg, ck = parse_gadget(json.dumps(lifted_p3()))
-        assert (gg.k, gg.source_n, ck.colors[-3:]) == (3, 3, (1, 2, 1))
+        assert (gg.k, gg.source.n, ck.colors[-3:]) == (3, 3, (1, 2, 1))
 
     @pytest.mark.parametrize(
         "edit", [swap_vertex_0_and_last_base, all_hubs_but_one_base, pair_off_the_base]
