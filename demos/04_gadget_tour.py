@@ -53,8 +53,9 @@ ck = lift_coloring(gg, res.witness)
 print("\nlift rainbow-connects the gadget:", is_rainbow_vertex_connected(gg.graph, ck))
 print("projected back:", list(project_coloring(gg, ck).colors))
 
-# Files for inspection: the JSON instance and a Graphviz rendering, written
-# to a fresh temporary directory so the tour leaves no files behind.
+# Files for inspection: the JSON instance and a Graphviz rendering.  Nothing
+# is written to the working directory; the files stay in a fresh temporary
+# directory, whose path is printed, until you remove it.
 out_dir = Path(tempfile.mkdtemp(prefix="rvckit-gadget-"))
 (out_dir / "gadget_p3_k2.json").write_text(emit_gadget(gg))
 (out_dir / "gadget_p3_k2.dot").write_text(emit_gadget_dot(gg))

@@ -18,7 +18,7 @@ import traceback
 
 from .gadgets import build_gadget, lift_coloring, pendant_reduction, project_coloring
 from .graphs import Graph, PairSet, VertexColoring
-from .harness import SUITE_NAMES, run_suite
+from .harness import SUITES, run_suite
 from .io import (
     InstanceFormatError,
     _parse_coloring,
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce_lemma1)
 
     p = sub.add_parser("claims", help="run a sweep of construction checks")
-    p.add_argument("--suite", choices=SUITE_NAMES, default="core")
+    p.add_argument("--suite", choices=SUITES, default="core")
     p.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes, at most one per CPU"
     )

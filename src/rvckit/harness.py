@@ -7,9 +7,12 @@ instance description.
 
 Each gadget check takes the gadget it inspects, so a corrupted gadget is
 checked like a built one, and its report names the source instance the
-gadget records.  ``run_suite`` is the one runner: it passes the
-(check, g, p, k) jobs of ``suite_jobs`` to ``run_check``, which builds what
-each named check takes from the source instance.
+gadget records.  ``CHECKS`` names each check once and maps it to a function
+of the source instance (g, p, k); ``run_check`` looks the name up there.
+``_full_jobs`` lists the (check, g, p, k) jobs of the full sweep, and each
+suite of ``SUITES`` is a filter of that list, so every suite keeps the full
+sweep's order.  ``run_suite`` is the one runner: it passes the jobs of
+``suite_jobs`` to ``run_check``.
 
 The corruption helpers exist so the checks themselves stay honest: each check
 must fail when the gadget it inspects is broken in a targeted way, otherwise
@@ -57,10 +60,6 @@ class ClaimReport:
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 def describe_instance(g: Graph, p: PairSet | None, k: int) -> str:
     ptxt = "-" if p is None else str(list(p))
@@ -96,39 +95,30 @@ def _stripped_distance(gg: GadgetGraph):
     return dist
 
 
-def check_pair_distances(gg: GadgetGraph) -> ClaimReport:
-    """Requested base pairs sit at distance >= k+2 once base edges are removed."""
+def _distance_report(gg: GadgetGraph, check: str, pairs, holds, expected: str) -> ClaimReport:
+    """Fail on the first pair whose distance without base edges fails ``holds``."""
     instance = describe_instance(gg.source, gg.pairs, gg.k)
     dist = _stripped_distance(gg)
-    bound = gg.k + 2
-    for a, b in gg.pairs_k:
+    for a, b in pairs:
         d = dist(a, b)
-        if d < bound:
+        if not holds(d):
             return ClaimReport(
-                "pair-distance",
-                instance,
-                "fail",
-                f"pair ({a}, {b}) at distance {d}, expected >= {bound}",
+                check, instance, "fail", f"pair ({a}, {b}) at distance {d}, expected {expected}"
             )
-    return ClaimReport("pair-distance", instance, "pass")
+    return ClaimReport(check, instance, "pass")
+
+
+def check_pair_distances(gg: GadgetGraph) -> ClaimReport:
+    """Requested base pairs sit at distance >= k+2 once base edges are removed."""
+    bound = gg.k + 2
+    return _distance_report(gg, "pair-distance", gg.pairs_k, lambda d: d >= bound, f">= {bound}")
 
 
 def check_nonpair_distances(gg: GadgetGraph) -> ClaimReport:
     """Non-requested base pairs sit at distance exactly k+1 without base edges."""
-    instance = describe_instance(gg.source, gg.pairs, gg.k)
-    dist = _stripped_distance(gg)
     want = gg.k + 1
-    for i, j in nonrequested_pairs(gg.source.n, gg.pairs):
-        a, b = gg.base[i], gg.base[j]
-        d = dist(a, b)
-        if d != want:
-            return ClaimReport(
-                "nonpair-distance",
-                instance,
-                "fail",
-                f"pair ({a}, {b}) at distance {d}, expected exactly {want}",
-            )
-    return ClaimReport("nonpair-distance", instance, "pass")
+    pairs = [(gg.base[i], gg.base[j]) for i, j in nonrequested_pairs(gg.source.n, gg.pairs)]
+    return _distance_report(gg, "nonpair-distance", pairs, lambda d: d == want, f"exactly {want}")
 
 
 def check_path_confinement(gg: GadgetGraph) -> ClaimReport:
@@ -265,33 +255,23 @@ def corrupt_base_cut(gg: GadgetGraph) -> GadgetGraph | None:
 # Sweeps
 
 
-_CHECKS = (
-    "pair-distance",
-    "nonpair-distance",
-    "confinement",
-    "lift-validity",
-    "equivalence",
-    "pendant-equivalence",
-)
+CHECKS = {
+    "pair-distance": lambda g, p, k: check_pair_distances(_cached_gadget(g, p, k)),
+    "nonpair-distance": lambda g, p, k: check_nonpair_distances(_cached_gadget(g, p, k)),
+    "confinement": lambda g, p, k: check_path_confinement(_cached_gadget(g, p, k)),
+    "lift-validity": lambda g, p, k: check_lift_validity(
+        _cached_gadget(g, p, k), decide_subset_rvc(g, p, k).witness
+    ),
+    "equivalence": check_reduction_equivalence,
+    "pendant-equivalence": lambda g, p, k: check_pendant_equivalence(g, k),
+}
 
 
 def run_check(check: str, g: Graph, p: PairSet | None, k: int) -> ClaimReport:
-    """Run one named check on one instance."""
-    gadget_checks = {
-        "pair-distance": check_pair_distances,
-        "nonpair-distance": check_nonpair_distances,
-        "confinement": check_path_confinement,
-    }
-    if check in gadget_checks:
-        return gadget_checks[check](_cached_gadget(g, p, k))
-    if check == "lift-validity":
-        witness = decide_subset_rvc(g, p, k).witness
-        return check_lift_validity(_cached_gadget(g, p, k), witness)
-    if check == "equivalence":
-        return check_reduction_equivalence(g, p, k)
-    if check == "pendant-equivalence":
-        return check_pendant_equivalence(g, k)
-    raise ValueError(f"unknown check {check!r}; expected one of {', '.join(_CHECKS)}")
+    """Run one named check of ``CHECKS`` on one instance."""
+    if check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}; expected one of {', '.join(CHECKS)}")
+    return CHECKS[check](g, p, k)
 
 
 def gadget_sweep_instances(max_n: int, ks) -> list:
@@ -304,73 +284,60 @@ def gadget_sweep_instances(max_n: int, ks) -> list:
     return out
 
 
-def equivalence_fixture_instances() -> list:
-    """Three small instances whose gadgets stay within exhaustive reach."""
-    c5 = cycle_graph(5)
-    p5 = path_graph(5)
-    p3 = path_graph(3)
-    return [
-        (c5, pair_set(combinations(range(5), 2)), 2),
-        (p5, pair_set(combinations(range(5), 2)), 2),
-        (p3, pair_set([(0, 2)]), 2),
-    ]
+def _full_jobs() -> list:
+    """The (check, g, p, k) jobs of the full sweep, in order.
 
-
-def pendant_sweep_instances(max_n: int) -> list:
-    return [(g, None, 3) for g in connected_graphs(max_n)]
-
-
-def _gadget_jobs(max_n: int, lift_max_k: int) -> list:
-    """Distance, confinement and lift checks over the gadget sweep at levels 2..5.
-
-    Each instance's checks sit back to back, so the gadget the first one
-    builds is still in the cache for the rest.  Confinement runs at k <= 3
-    and lift-validity at k <= lift_max_k.
+    First the gadget checks over the n <= 4 sweep at levels 2..5, with
+    confinement at k <= 3 only.  Each instance's checks sit back to back, so
+    the gadget the first one builds is still in the cache for the rest.  Then
+    level-2 equivalence on three instances whose gadgets stay within
+    exhaustive reach, and pendant equivalence at k = 3 for n <= 5.
     """
     jobs = []
-    for g, p, k in gadget_sweep_instances(max_n, (2, 3, 4, 5)):
-        jobs += [("pair-distance", g, p, k), ("nonpair-distance", g, p, k)]
-        if k <= 3:
-            jobs.append(("confinement", g, p, k))
-        if k <= lift_max_k:
-            jobs.append(("lift-validity", g, p, k))
+    for g, p, k in gadget_sweep_instances(4, (2, 3, 4, 5)):
+        for check in ("pair-distance", "nonpair-distance", "confinement", "lift-validity"):
+            if check != "confinement" or k <= 3:
+                jobs.append((check, g, p, k))
+    every = pair_set(combinations(range(5), 2))
+    fixtures = [
+        (cycle_graph(5), every),
+        (path_graph(5), every),
+        (path_graph(3), pair_set([(0, 2)])),
+    ]
+    jobs += [("equivalence", g, p, 2) for g, p in fixtures]
+    jobs += [("pendant-equivalence", g, None, 3) for g in connected_graphs(5)]
     return jobs
 
 
-def suite_jobs(name: str) -> list:
-    """Instances and checks for a named sweep suite.
+def _core(check: str, g: Graph, k: int) -> bool:
+    """The smoke pass: every equivalence job, pendants with n <= 4, gadgets with n <= 3.
 
-    Returns (check, g, p, k) tuples.  "core" is a fast smoke pass; "full" is
-    the complete sweep the acceptance tests run.  The other suites are parts
-    of "full": "distances", "confinement" and "lift" keep its gadget jobs of
-    those checks, in order, and "equivalence" and "pendant" are its tail.
+    Of the gadget checks, lift-validity runs only at k <= 3.
     """
-    def expand(instances, check):
-        return [(check, g, p, k) for g, p, k in instances]
-
-    parts = {
-        "distances": ("pair-distance", "nonpair-distance"),
-        "confinement": ("confinement",),
-        "lift": ("lift-validity",),
-    }
-    if name in parts:
-        return [job for job in _gadget_jobs(4, lift_max_k=5) if job[0] in parts[name]]
-    if name == "equivalence":
-        return expand(equivalence_fixture_instances(), "equivalence")
-    if name == "pendant":
-        return expand(pendant_sweep_instances(5), "pendant-equivalence")
-    if name == "core":
-        return (
-            _gadget_jobs(3, lift_max_k=3)
-            + suite_jobs("equivalence")
-            + expand(pendant_sweep_instances(4), "pendant-equivalence")
-        )
-    if name == "full":
-        return _gadget_jobs(4, lift_max_k=5) + suite_jobs("equivalence") + suite_jobs("pendant")
-    raise ValueError(f"unknown suite {name!r}")
+    if check == "equivalence":
+        return True
+    if check == "pendant-equivalence":
+        return g.n <= 4
+    return g.n <= 3 and (check != "lift-validity" or k <= 3)
 
 
-SUITE_NAMES = ("core", "full", "distances", "confinement", "lift", "equivalence", "pendant")
+SUITES = {
+    "core": _core,
+    "full": lambda check, g, k: True,
+    "distances": lambda check, g, k: check in ("pair-distance", "nonpair-distance"),
+    "confinement": lambda check, g, k: check == "confinement",
+    "lift": lambda check, g, k: check == "lift-validity",
+    "equivalence": lambda check, g, k: check == "equivalence",
+    "pendant": lambda check, g, k: check == "pendant-equivalence",
+}
+
+
+def suite_jobs(name: str) -> list:
+    """The jobs of ``_full_jobs`` that the named suite of ``SUITES`` keeps, in order."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    keep = SUITES[name]
+    return [job for job in _full_jobs() if keep(job[0], job[1], job[3])]
 
 
 def run_suite(name: str, jobs: int = 1) -> list:

@@ -9,7 +9,8 @@ from rvckit.families import complete_graph, cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import all_vertex_pairs, pair_set
 from rvckit.harness import (
-    SUITE_NAMES,
+    CHECKS,
+    SUITES,
     ClaimReport,
     check_lift_validity,
     check_nonpair_distances,
@@ -40,6 +41,16 @@ SUITE_JOBS = {
     "lift": (1612, "f2cbc9d7ebd3df27b4176e3b6a0417eeb4f00c41967141bdb52104977e45fadd"),
     "equivalence": (3, "0762e6f5397c4cf63cc57319c7d88c281ca003b83aeed67f6f9b832bf588339d"),
     "pendant": (31, "6043e66581dbc007bba5d415244cbfff1d0f1a68128a076424051ecf3c7e0d38"),
+}
+
+# One small passing instance per named check.
+CHECK_INSTANCES = {
+    "pair-distance": (P3, P3_PAIR, 2),
+    "nonpair-distance": (P3, P3_PAIR, 2),
+    "confinement": (P3, P3_PAIR, 2),
+    "lift-validity": (P3, P3_PAIR, 2),
+    "equivalence": (P3, pair_set([(0, 2)]), 2),
+    "pendant-equivalence": (complete_graph(3), None, 3),
 }
 
 
@@ -181,24 +192,38 @@ class TestSweeps:
     def test_run_check_dispatches_by_name(self):
         r = run_check("pair-distance", P3, P3_PAIR, 2)
         assert r.check == "pair-distance" and r.status == "pass"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             run_check("no-such-check", P3, P3_PAIR, 2)
+        assert str(err.value) == (
+            "unknown check 'no-such-check'; expected one of pair-distance, nonpair-distance, "
+            "confinement, lift-validity, equivalence, pendant-equivalence"
+        )
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_every_check_reports_under_its_name(self, check):
+        g, p, k = CHECK_INSTANCES[check]
+        assert run_check(check, g, p, k) == ClaimReport(check, describe_instance(g, p, k), "pass")
 
     def test_instance_description_is_reconstructible(self):
         text = describe_instance(P3, P3_PAIR, 4)
         assert text == "n=3 edges=[(0, 1), (1, 2)] P=[(0, 1)] k=4"
 
     def test_suites_are_named_and_nonempty(self):
-        for name in SUITE_NAMES:
+        for name in SUITES:
             assert len(suite_jobs(name)) > 0
         with pytest.raises(ValueError):
             suite_jobs("bogus")
 
-    @pytest.mark.parametrize("name", SUITE_NAMES)
+    @pytest.mark.parametrize("name", SUITES)
     def test_suite_jobs_are_pinned(self, name):
         jobs = suite_jobs(name)
         text = "".join(f"{check} {describe_instance(g, p, k)}\n" for check, g, p, k in jobs)
         assert (len(jobs), hashlib.sha256(text.encode()).hexdigest()) == SUITE_JOBS[name]
+
+    @pytest.mark.parametrize("name", SUITES)
+    def test_each_suite_is_an_in_order_filter_of_full(self, name):
+        full = iter(suite_jobs("full"))
+        assert all(job in full for job in suite_jobs(name))
 
     def test_full_suite_combines_the_five_suites(self):
         parts = ("distances", "confinement", "lift", "equivalence", "pendant")
