@@ -3,8 +3,9 @@
 Exit codes are uniform across subcommands: 0 for success or a yes decision,
 1 for a no decision or a failed check, 2 for usage and input-format errors,
 3 for an internal error (an unexpected exception, which is a bug).
-Decision subcommands take --expect-yes / --expect-no so shell scripts can
-assert either polarity without inspecting stdout.
+A decision exits 0 on yes and 1 on no; decision subcommands take
+--expect-no to flip that, so shell scripts can assert either polarity
+without inspecting stdout.
 """
 
 from __future__ import annotations
@@ -47,51 +48,35 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _inline_or_file(value: str):
-    """Interpret an argument as a file path when one exists, else inline JSON."""
-    text = _read_file(value) if os.path.exists(value) else value
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(f"expected a file path or inline JSON: {e.msg}") from None
+# Each field a user may give as an argument: its parser, the shape the
+# argument must supply and what the field is called when it is missing.
+_ARG_FIELDS = {
+    "pairs": (_parse_pairs, "a list of [a, b] pairs", "requested pairs"),
+    "coloring": (_parse_coloring, "a list of integers", "coloring"),
+}
 
 
-def _pairs_arg(value: str, g: Graph) -> PairSet:
-    obj = _inline_or_file(value)
-    if not isinstance(obj, dict):
-        obj = {"pairs": obj}
-    ps = _parse_pairs(obj, g)
-    if ps is None:
-        raise InstanceFormatError("--pairs must supply a list of [a, b] pairs")
-    return ps
+def _field_arg(args, name: str, g: Graph, value):
+    """--<name> when given, else the file's value; one of them must be there.
 
-
-def _coloring_arg(value: str, g: Graph) -> VertexColoring:
-    obj = _inline_or_file(value)
-    if not isinstance(obj, dict):
-        obj = {"coloring": obj}
-    col = _parse_coloring(obj, g)
-    if col is None:
-        raise InstanceFormatError("--coloring must supply a list of integers")
-    return col
-
-
-def _required_pairs(args, g: Graph, pairs: PairSet | None) -> PairSet:
-    """--pairs when given, else the file's pairs; one of them must be there."""
-    if args.pairs is not None:
-        pairs = _pairs_arg(args.pairs, g)
-    if pairs is None:
-        raise InstanceFormatError("no requested pairs: give 'pairs' in the file or --pairs")
-    return pairs
-
-
-def _required_coloring(args, g: Graph, col: VertexColoring | None) -> VertexColoring:
-    """--coloring when given, else the file's coloring; one of them must be there."""
-    if args.coloring is not None:
-        col = _coloring_arg(args.coloring, g)
-    if col is None:
-        raise InstanceFormatError("no coloring: give 'coloring' in the file or --coloring")
-    return col
+    The argument is a file path when one exists, else inline JSON; either
+    holds an object with the field or a bare value that stands for it alone.
+    """
+    parse, shape, noun = _ARG_FIELDS[name]
+    text = getattr(args, name)
+    if text is not None:
+        if os.path.exists(text):
+            text = _read_file(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise InstanceFormatError(f"expected a file path or inline JSON: {e.msg}") from None
+        value = parse(obj if isinstance(obj, dict) else {name: obj}, g)
+        if value is None:
+            raise InstanceFormatError(f"--{name} must supply {shape}")
+    if value is None:
+        raise InstanceFormatError(f"no {noun}: give '{name}' in the file or --{name}")
+    return value
 
 
 def _coloring_line(witness: VertexColoring | None) -> str:
@@ -101,9 +86,7 @@ def _coloring_line(witness: VertexColoring | None) -> str:
 
 
 def _decision_exit(decision: bool, args) -> int:
-    if getattr(args, "expect_no", False):
-        return 0 if not decision else 1
-    return 0 if decision else 1
+    return 0 if decision != args.expect_no else 1
 
 
 def _report_decision(result, args, g: Graph, pairs: PairSet | None = None) -> int:
@@ -142,15 +125,15 @@ def _cmd_decide(args) -> int:
 
 def _cmd_subset(args) -> int:
     g, pairs, _ = parse_instance(_read_file(args.input))
-    pairs = _required_pairs(args, g, pairs)
+    pairs = _field_arg(args, "pairs", g, pairs)
     return _report_decision(decide_subset_rvc(g, pairs, args.k), args, g, pairs)
 
 
 def _cmd_verify(args) -> int:
     g, pairs, col = parse_instance(_read_file(args.input))
     if args.pairs is not None:
-        pairs = _pairs_arg(args.pairs, g)
-    col = _required_coloring(args, g, col)
+        pairs = _field_arg(args, "pairs", g, None)
+    col = _field_arg(args, "coloring", g, col)
     unserved = first_unserved_pair(g, col, pairs)
     if unserved is None:
         print("yes")
@@ -162,19 +145,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gadget(args) -> int:
     g, pairs, _ = parse_instance(_read_file(args.input))
-    pairs = _required_pairs(args, g, pairs)
+    pairs = _field_arg(args, "pairs", g, pairs)
     gg = build_gadget(g, pairs, args.k)
     _write_or_print(emit_gadget(gg), args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(emit_gadget_dot(gg))
+        _write_or_print(emit_gadget_dot(gg), args.dot)
     return 0
 
 
 def _cmd_lift(args) -> int:
     g, pairs, col = parse_instance(_read_file(args.input))
-    pairs = _required_pairs(args, g, pairs)
-    col = _required_coloring(args, g, col)
+    pairs = _field_arg(args, "pairs", g, pairs)
+    col = _field_arg(args, "coloring", g, col)
     gg = build_gadget(g, pairs, args.k)
     _write_or_print(emit_gadget(gg, coloring=lift_coloring(gg, col)), args.out)
     return 0
@@ -182,7 +164,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_project(args) -> int:
     gg, ck = parse_gadget(_read_file(args.input))
-    ck = _required_coloring(args, gg.graph, ck)
+    ck = _field_arg(args, "coloring", gg.graph, ck)
     _write_or_print(emit_instance(gg.source, coloring=project_coloring(gg, ck)), args.out)
     return 0
 
@@ -192,8 +174,7 @@ def _cmd_reduce_lemma1(args) -> int:
     inst = pendant_reduction(g)
     _write_or_print(emit_instance(inst.graph, pairs=inst.pairs), args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(emit_dot(inst.graph, pairs=inst.pairs))
+        _write_or_print(emit_dot(inst.graph, pairs=inst.pairs), args.dot)
     return 0
 
 
@@ -239,14 +220,8 @@ def _add_io_flags(p, pairs=False, coloring=False, out=True, dot=False):
         p.add_argument("--dot", help="also write a Graphviz DOT rendering here")
 
 
-def _add_expect_flags(p):
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument(
-        "--expect-yes", action="store_true", help="exit 0 on yes, 1 on no (the default)"
-    )
-    grp.add_argument(
-        "--expect-no", dest="expect_no", action="store_true", help="exit 0 on no, 1 on yes"
-    )
+def _add_expect_flag(p):
+    p.add_argument("--expect-no", action="store_true", help="exit 0 on no, 1 on yes")
 
 
 @functools.cache
@@ -265,18 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide whether k colors rainbow-connect all pairs")
     _add_io_flags(p)
     p.add_argument("-k", type=int, required=True, help="color budget")
-    _add_expect_flags(p)
+    _add_expect_flag(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("subset", help="decide the requested-pairs variant under k colors")
     _add_io_flags(p, pairs=True)
     p.add_argument("-k", type=int, required=True, help="color budget")
-    _add_expect_flags(p)
+    _add_expect_flag(p)
     p.set_defaults(func=_cmd_subset)
 
     p = sub.add_parser("verify", help="check a given coloring against all or requested pairs")
     _add_io_flags(p, pairs=True, coloring=True, out=False)
-    _add_expect_flags(p)
+    _add_expect_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gadget", help="build the level-k reduction gadget for (graph, pairs)")

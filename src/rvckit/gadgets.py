@@ -57,11 +57,11 @@ from .rainbow import first_unserved_pair
 
 @dataclass(frozen=True)
 class PendantInstance:
-    """Graph with one pendant per original vertex plus the requested pairs."""
+    """The pendant graph of the source graph, plus the requested pairs."""
 
+    source: Graph
     graph: Graph
     pairs: PairSet
-    source_n: int
 
 
 def pendant_reduction(g: Graph) -> PendantInstance:
@@ -73,16 +73,19 @@ def pendant_reduction(g: Graph) -> PendantInstance:
     edges.update((v, n + v) for v in range(n))
     gp = graph_from_edges(2 * n, edges)
     pairs = pair_set((n + u, n + v) for u, v in g.edges)
-    return PendantInstance(gp, pairs, n)
+    return PendantInstance(g, gp, pairs)
 
 
 def pendant_lift(inst: PendantInstance, c: VertexColoring) -> VertexColoring:
-    """Copy each vertex color onto its pendant; c must be proper on the source."""
-    n = inst.source_n
+    """Copy each vertex color onto its pendant; c must be proper on the source.
+
+    An improper c is refused with the least monochromatic source edge.
+    """
+    n = inst.source.n
     if len(c.colors) != n:
         raise ValueError(f"coloring has {len(c.colors)} entries, source graph has {n}")
-    for u, v in inst.graph.edges:
-        if v < n and c.colors[u] == c.colors[v]:
+    for u, v in sorted(inst.source.edges):
+        if c.colors[u] == c.colors[v]:
             raise ValueError(f"coloring is not proper: edge ({u}, {v}) is monochromatic")
     return VertexColoring(c.colors + c.colors, c.k)
 
@@ -97,7 +100,7 @@ def pendant_project(inst: PendantInstance, cprime: VertexColoring) -> VertexColo
     unserved = first_unserved_pair(inst.graph, cprime, inst.pairs)
     if unserved is not None:
         raise ValueError(f"pair {unserved} has no rainbow path under this coloring")
-    return VertexColoring(cprime.colors[: inst.source_n], cprime.k)
+    return VertexColoring(cprime.colors[: inst.source.n], cprime.k)
 
 
 # ---------------------------------------------------------------------------

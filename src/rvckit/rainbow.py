@@ -117,6 +117,16 @@ def is_rainbow_path(c: VertexColoring, p: PathWitness) -> bool:
     return len({c.colors[v] for v in internal}) == len(internal)
 
 
+def _color_bits(c: VertexColoring) -> list:
+    """The bit of each vertex's color in a search's color sets.
+
+    The colors in use take bits by rank: a search only asks whether two
+    colors are equal, and a color's value must never size an int.
+    """
+    rank = {col: 1 << j for j, col in enumerate(sorted(set(c.colors)))}
+    return [rank[col] for col in c.colors]
+
+
 def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     """The witness search: the state whose expansion first reaches target, or None.
 
@@ -144,7 +154,7 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     at most n-2 internal vertices, so the bound is never exceeded by a
     correct search, and a k far above n costs no more than k = n.
     """
-    bit = [1 << (col - 1) for col in c.colors]  # color j maps to bit j-1
+    bit = _color_bits(c)
     budget = path_budget(g.n, min(c.k, g.n))
     expansions = 0
     reached = None
@@ -452,7 +462,7 @@ def _sparse_levels(
     n = len(adj)
     shift = n.bit_length()
     low = (1 << shift) - 1
-    step = [(1 << (col - 1 + shift)) | y for y, col in enumerate(c.colors)]
+    step = [b << shift | y for y, b in enumerate(_color_bits(c))]
     moves = [[step[y] for y in ys] for ys in adj]
     frontier = {step[y]: s for y, s in enumerate(seeds) if s}
     level = 1

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvckit import io as rvckit_io
-from rvckit.cli import _coloring_arg, _pairs_arg, build_parser, cli_main
+from rvckit.cli import _field_arg, build_parser, cli_main
 from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import coloring, graph_from_edges, pair_set
@@ -23,6 +24,12 @@ from test_io import (
 
 P5 = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}\n'
 P3_WITH_PAIR = '{"n": 3, "edges": [[0, 1], [1, 2]], "pairs": [[0, 2]]}\n'
+P5_WITH_PAIR = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], "pairs": [[0, 2]]}\n'
+
+
+def _arg(name, text, g):
+    """The CLI's reading of --<name> given as text, with nothing from the file."""
+    return _field_arg(argparse.Namespace(**{name: text}), name, g, None)
 
 
 @pytest.fixture
@@ -134,14 +141,72 @@ class TestVerify:
 
     def test_coloring_arg_keeps_a_declared_k(self):
         g = path_graph(3)
-        assert _coloring_arg('{"coloring": [1, 2, 1], "k": 3}', g).k == 3
-        assert _coloring_arg("[1, 2, 1]", g).k == 2
+        assert _arg("coloring", '{"coloring": [1, 2, 1], "k": 3}', g).k == 3
+        assert _arg("coloring", "[1, 2, 1]", g).k == 2
 
     def test_boolean_vertex_id_in_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text('{"n": 4, "edges": [[0, true], [1, 2], [2, 3]], "coloring": [1, 1, 1, 1]}')
         assert cli_main(["verify", "-i", str(path)]) == 2
         assert "edges[0]" in capsys.readouterr().err
+
+    def test_colors_far_above_n_are_verified(self, p5_file, capsys):
+        # Only equal colors matter; a color's value never sizes an int.
+        big = 2**72
+        coloring = json.dumps({"coloring": [1, 3, 2, 1, big], "k": big})
+        assert cli_main(["verify", "-i", p5_file, "--coloring", coloring]) == 0
+        assert capsys.readouterr() == ("yes\n", "")
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "command",
+        [["subset", "-k", "1"], ["verify", "--coloring", "[1, 1, 1, 1, 1]"]],
+        ids=["subset", "verify"],
+    )
+    @pytest.mark.parametrize(
+        "content", ["[[0, 2]]\n", P5_WITH_PAIR], ids=["bare-list", "instance"]
+    )
+    def test_pairs_file_path_reads_like_inline(self, p5_file, tmp_path, command, content, capsys):
+        # Without --pairs, subset has no pairs (exit 2) and verify checks
+        # every pair (no), so the answer comes from the file.
+        path = tmp_path / "pairs.json"
+        path.write_text(content)
+
+        def run(pairs):
+            code = cli_main([command[0], "-i", p5_file, *command[1:], "--pairs", pairs])
+            return code, capsys.readouterr()
+
+        inline = run("[[0, 2]]")
+        assert inline[0] == 0 and inline[1].out.startswith("yes\n")
+        assert run(str(path)) == inline
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["subset", "-k", "1", "--pairs", "[[0, 2]]"], 1),
+            (["subset", "-k", "1", "--pairs", "[[0, 3]]"], 0),
+            (["verify", "--coloring", "[1, 1, 2, 3, 1]"], 1),
+            (["verify", "--coloring", "[1, 1, 1, 1, 1]"], 0),
+        ],
+    )
+    def test_expect_no_inverts(self, p5_file, argv, code, capsys):
+        assert cli_main([argv[0], "-i", p5_file, *argv[1:], "--expect-no"]) == code
+        assert cli_main([argv[0], "-i", p5_file, *argv[1:]]) == 1 - code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "-k", "3"],
+            ["subset", "-k", "1", "--pairs", "[[0, 2]]"],
+            ["verify", "--coloring", "[1, 1, 2, 3, 1]"],
+        ],
+    )
+    def test_expect_yes_is_not_an_option(self, p5_file, argv, capsys):
+        # A yes already exits 0, so --expect-yes would set nothing.
+        assert cli_main([argv[0], "-i", p5_file, *argv[1:], "--expect-yes"]) == 2
+        assert "unrecognized arguments: --expect-yes" in capsys.readouterr().err
 
 
 class TestGadgetLiftProject:
@@ -609,10 +674,8 @@ def test_fuzzed_arguments_never_crash_the_cli(tmp_path_factory, case):
         text = json.dumps(value) if flag != "-k" else str(value)
         argv += [flag, text]
         try:
-            if flag == "--pairs":
-                _pairs_arg(text, g)
-            elif flag == "--coloring":
-                _coloring_arg(text, g)
+            if flag in ("--pairs", "--coloring"):
+                _arg(flag[2:], text, g)
             elif value < _K_MINIMUM[command]:
                 rejected = True
         except ValueError:

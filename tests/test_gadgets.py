@@ -57,6 +57,10 @@ class TestPendantReduction:
         with pytest.raises(ValueError):
             pendant_reduction(graph_from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_records_its_source_graph(self):
+        g = cycle_graph(5)
+        assert pendant_reduction(g).source == g
+
     def test_lift_copies_owner_colors(self):
         inst = pendant_reduction(cycle_graph(5))
         c = coloring([1, 2, 1, 2, 3], k=3)
@@ -67,6 +71,11 @@ class TestPendantReduction:
         inst = pendant_reduction(path_graph(3))
         with pytest.raises(ValueError):
             pendant_lift(inst, coloring([1, 1, 2], k=3))
+
+    def test_lift_names_the_least_monochromatic_edge(self):
+        inst = pendant_reduction(cycle_graph(5))
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is monochromatic"):
+            pendant_lift(inst, coloring([1, 1, 1, 1, 1], k=3))
 
     def test_lift_rejects_wrong_length(self):
         inst = pendant_reduction(path_graph(3))

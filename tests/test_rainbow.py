@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -398,6 +398,42 @@ def test_dict_layout_matches_oracle(gc, data):
     served = {q for q in universe if oracle_exists_rainbow_path(g, c, *q)}
     assert first_unserved_pair(g, c, pair_set(chosen)) == min(set(chosen) - served, default=None)
     assert first_unserved_pair(g, c) == min(set(universe) - served, default=None)
+
+
+@st.composite
+def colored_graphs_up_to_st(draw, low, high):
+    """A connected colored graph whose largest color is drawn from low..high."""
+    g = draw(connected_graphs_st(max_n=7))
+    top = draw(st.integers(low, high))
+    colors = [draw(st.integers(1, top)) for _ in range(g.n)]
+    colors[draw(st.integers(0, g.n - 1))] = top
+    return g, VertexColoring(tuple(colors), top)
+
+
+@pytest.mark.parametrize("low, high", [(1, 6), (7, 9)], ids=["packed", "dict"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_huge_colors_answer_like_their_ranks(low, high, data):
+    # Only equal colors matter, so mapping the colors in order onto values
+    # above 2**64 changes no answer; the small coloring runs the layout of
+    # its largest color, the mapped one the dict layout.
+    g, c = data.draw(colored_graphs_up_to_st(low, high))
+    used = sorted(set(c.colors))
+    gaps = data.draw(st.lists(st.integers(1, 2**70), min_size=len(used), max_size=len(used)))
+    image = dict(zip(used, (2**64 + s for s in accumulate(gaps))))
+    big = VertexColoring(tuple(image[col] for col in c.colors), image[used[-1]])
+    universe = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    chosen = pair_set(data.draw(st.lists(st.sampled_from(universe), unique=True)))
+    assert first_unserved_pair(g, big) == first_unserved_pair(g, c)
+    assert first_unserved_pair(g, big, chosen) == first_unserved_pair(g, c, chosen)
+    for u, v in universe:
+        assert exists_rainbow_path(g, big, u, v) == exists_rainbow_path(g, c, u, v)
+
+
+def test_colors_go_on_bits_by_rank():
+    assert rainbow._color_bits(VertexColoring((2, 1, 3), 3)) == [2, 1, 4]
+    assert rainbow._color_bits(VertexColoring((1, 3, 1), 3)) == [1, 2, 1]
+    assert rainbow._color_bits(VertexColoring((1, 10**8, 5), 10**8)) == [1, 4, 2]
 
 
 def test_declared_budget_far_above_the_colors_used():
