@@ -40,12 +40,31 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_outputs(*outputs) -> None:
+    """Write each (text, path) in order, to stdout where path is None.
+
+    Every path is first opened for append, which changes no file, so a path
+    that cannot be opened stops the call before anything is written; a file
+    that this probe created is removed again.
+    """
+    created = []
+    try:
+        for _, path in outputs:
+            if path is not None:
+                new = not os.path.exists(path)
+                open(path, "a", encoding="utf-8").close()
+                if new:
+                    created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 # Each field a user may give as an argument: its parser, the shape the
@@ -92,10 +111,10 @@ def _decision_exit(decision: bool, args) -> int:
 def _report_decision(result, args, g: Graph, pairs: PairSet | None = None) -> int:
     """Print yes and the witness, or no; write the witness instance to -o on a yes."""
     if result.decision:
-        print("yes")
-        print(_coloring_line(result.witness))
+        outputs = [(f"yes\n{_coloring_line(result.witness)}\n", None)]
         if args.out and result.witness is not None:
-            _write_or_print(emit_instance(g, pairs=pairs, coloring=result.witness), args.out)
+            outputs.append((emit_instance(g, pairs=pairs, coloring=result.witness), args.out))
+        _write_outputs(*outputs)
     else:
         print("no")
     return _decision_exit(result.decision, args)
@@ -108,13 +127,13 @@ def _report_decision(result, args, g: Graph, pairs: PairSet | None = None) -> in
 def _cmd_solve(args) -> int:
     g, _, _ = parse_instance(_read_file(args.input))
     k, witness = rvc_exact(g)
-    print(f"rvc = {k}")
-    print(_coloring_line(witness))
+    outputs = [(f"rvc = {k}\n{_coloring_line(witness)}\n", None)]
     if args.out:
         if witness is not None:
-            _write_or_print(emit_instance(g, coloring=witness), args.out)
+            outputs.append((emit_instance(g, coloring=witness), args.out))
         else:
-            _write_or_print(emit_instance(g, k=0), args.out)
+            outputs.append((emit_instance(g, k=0), args.out))
+    _write_outputs(*outputs)
     return 0
 
 
@@ -147,9 +166,10 @@ def _cmd_gadget(args) -> int:
     g, pairs, _ = parse_instance(_read_file(args.input))
     pairs = _field_arg(args, "pairs", g, pairs)
     gg = build_gadget(g, pairs, args.k)
-    _write_or_print(emit_gadget(gg), args.out)
+    outputs = [(emit_gadget(gg), args.out)]
     if args.dot:
-        _write_or_print(emit_gadget_dot(gg), args.dot)
+        outputs.append((emit_gadget_dot(gg), args.dot))
+    _write_outputs(*outputs)
     return 0
 
 
@@ -158,23 +178,24 @@ def _cmd_lift(args) -> int:
     pairs = _field_arg(args, "pairs", g, pairs)
     col = _field_arg(args, "coloring", g, col)
     gg = build_gadget(g, pairs, args.k)
-    _write_or_print(emit_gadget(gg, coloring=lift_coloring(gg, col)), args.out)
+    _write_outputs((emit_gadget(gg, coloring=lift_coloring(gg, col)), args.out))
     return 0
 
 
 def _cmd_project(args) -> int:
     gg, ck = parse_gadget(_read_file(args.input))
     ck = _field_arg(args, "coloring", gg.graph, ck)
-    _write_or_print(emit_instance(gg.source, coloring=project_coloring(gg, ck)), args.out)
+    _write_outputs((emit_instance(gg.source, coloring=project_coloring(gg, ck)), args.out))
     return 0
 
 
 def _cmd_reduce_lemma1(args) -> int:
     g, _, _ = parse_instance(_read_file(args.input))
     inst = pendant_reduction(g)
-    _write_or_print(emit_instance(inst.graph, pairs=inst.pairs), args.out)
+    outputs = [(emit_instance(inst.graph, pairs=inst.pairs), args.out)]
     if args.dot:
-        _write_or_print(emit_dot(inst.graph, pairs=inst.pairs), args.dot)
+        outputs.append((emit_dot(inst.graph, pairs=inst.pairs), args.dot))
+    _write_outputs(*outputs)
     return 0
 
 

@@ -25,13 +25,17 @@ whose candidate sets are all blocked by the partial assignment can never be
 satisfied, and the branch is abandoned.
 
 Every decision runs on one private core after its public entry point has
-validated the input once.  ``rvc_exact``, ``decide_rvc_le_k`` and
-``decide_subset_rvc`` build one table of BFS distance rows per graph; it
-answers connectivity, the diameter lower bound where ``rvc_exact`` starts its
-scan, and the exact-distance prune of the path enumeration for every pair.  A
-pair at distance at most 2 has a path with at most one internal vertex,
-rainbow under every coloring, so the core drops it before enumerating
-anything; a pair farther than k+1 is a no.
+validated the input once.  Only pairs at distance at least 3 constrain a
+coloring: a pair at distance at most 2 has a path with at most one internal
+vertex, rainbow under every coloring.  ``_far_pairs`` finds the far pairs
+with one bitmask 2-ball per vertex, built from the neighbour masks, and runs
+a BFS only from the second endpoint of a far pair, once per endpoint.  Those
+rows answer connectivity, the diameter lower bound where ``rvc_exact`` starts
+its scan, and the exact-distance prune of the path enumeration; a far pair
+beyond k+1 is a no.  A vertex on no candidate set never blocks one, so the
+search assigns only the vertices that lie on some candidate set and gives
+every other vertex color 1; the witness is the one the search over all
+vertices would find first, in fewer nodes.
 
 Yes-answers are never trusted from search state: the witness coloring is
 re-verified with the independent rainbow checker before it is returned.
@@ -46,10 +50,13 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
-    distance_rows,
+    adjacency_distances,
     is_complete,
+    is_connected,
 )
 from .rainbow import first_unserved_pair
+
+_DISCONNECTED = "rainbow vertex-connection needs a connected graph"
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,14 @@ def _assignment_order(g: Graph) -> list:
 
 
 def _canonical_search(order: list, k: int, place, undo):
-    """Return the first canonical coloring that place accepts, and the nodes tried.
+    """Return the first canonical assignment that place accepts, and the nodes tried.
 
     ``place(v, col)`` applies an assignment and returns an undo token, or None
     to reject it; ``undo(v, col, token)`` reverts an accepted one.  Colors are
     tried in ascending order, and a color new to the branch must be the
     smallest unused one.  The walk is iterative, so its depth is not bounded
-    by Python's recursion limit.  The coloring is indexed by vertex, or None.
+    by Python's recursion limit.  The assignment is the color per position of
+    ``order``, or None.
     """
     n = len(order)
     chosen: list = []  # color per assigned position
@@ -110,10 +118,15 @@ def _canonical_search(order: list, k: int, place, undo):
             top = tops[pos]
             col = chosen.pop()
             undo(order[pos], col, tokens.pop())
-    colors = [0] * n
+    return chosen, nodes
+
+
+def _coloring(n: int, order: list, chosen: list, k: int) -> VertexColoring:
+    """The k-coloring that gives order[i] color chosen[i] and every other vertex color 1."""
+    colors = [1] * n
     for v, c in zip(order, chosen):
         colors[v] = c
-    return colors, nodes
+    return VertexColoring(tuple(colors), k)
 
 
 def _induced_path_sets(g: Graph, dist: list, a: int, b: int, max_len: int) -> list:
@@ -155,20 +168,46 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
+def _far_pairs(g: Graph, p: PairSet | None) -> list:
+    """(a, b, row_b) for each pair of p at distance at least 3, in p's order.
+
+    p is None for every pair.  ``near[b]`` is the bitmask of b, its
+    neighbours and theirs, so a pair is far exactly when a is outside it.
+    ``row_b`` is the BFS distance row from b, computed at most once per b;
+    raises unless g is connected, which a row shows as soon as one is needed.
+    """
+    masks = g.masks
+    adj = g.adjacency
+    near = []
+    for b in range(g.n):
+        ball = masks[b] | 1 << b
+        for y in adj[b]:
+            ball |= masks[y]
+        near.append(ball)
+    rows: list = [None] * g.n
+    far = []
+    for a, b in combinations(range(g.n), 2) if p is None else p:
+        if near[b] >> a & 1:
+            continue
+        row = rows[b]
+        if row is None:
+            row = rows[b] = adjacency_distances(adj, b)
+            if None in row:
+                raise ValueError(_DISCONNECTED)
+        far.append((a, b, row))
+    return far
+
+
+def _decide(g: Graph, k: int, p: PairSet | None, far: list) -> SolveResult:
     """Decide a validated instance: g connected, k >= 1, p in range or None for all pairs.
 
-    ``dist_to[b]`` is the BFS distance row from b, for every vertex b.  A pair
-    at distance 1 or 2 has a path with at most one internal vertex, rainbow
-    under every coloring, so it drops out before any path is enumerated; a
-    pair beyond k+1 has no path a k-coloring can make rainbow.  Every other
-    pair's induced paths have at least two internal vertices.
+    ``far`` is ``_far_pairs(g, p)``: the pairs of p at distance at least 3,
+    whose induced paths have at least two internal vertices.  Every other
+    pair is rainbow under every coloring.  A pair beyond k+1 has no path a
+    k-coloring can make rainbow.
     """
     constraints = []
-    for a, b in combinations(range(g.n), 2) if p is None else p:
-        dist = dist_to[b]
-        if dist[a] < 3:
-            continue
+    for a, b, dist in far:
         if dist[a] > k + 1:
             return SolveResult(False, None, 0)
         constraints.append(_induced_path_sets(g, dist, a, b, k + 1))
@@ -209,30 +248,25 @@ def _decide(g: Graph, k: int, p: PairSet | None, dist_to) -> SolveResult:
             blocked[si] = False
             alive[ci] += 1
 
-    colors, nodes = _canonical_search(_assignment_order(g), k, place, undo)
-    if colors is None:
+    # A vertex on no candidate set never blocks one, so it keeps color 1.
+    order = [v for v in _assignment_order(g) if touching[v]]
+    chosen, nodes = _canonical_search(order, k, place, undo)
+    if chosen is None:
         return SolveResult(False, None, nodes)
-    witness = VertexColoring(tuple(colors), k)
+    witness = _coloring(g.n, order, chosen, k)
     if first_unserved_pair(g, witness, p) is not None:
         raise RuntimeError("solver produced a witness the independent checker rejects")
     return SolveResult(True, witness, nodes)
-
-
-def _connected_rows(g: Graph) -> list:
-    """The distance table of g; raises unless g is connected."""
-    rows = distance_rows(g)
-    if None in rows[0]:
-        raise ValueError("rainbow vertex-connection needs a connected graph")
-    return rows
 
 
 def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
     """Decide whether some k-coloring makes every pair in p rainbow connected."""
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
-    rows = _connected_rows(g)
+    if not is_connected(g):
+        raise ValueError(_DISCONNECTED)
     p.check_in_range(g)
-    return _decide(g, k, p, rows)
+    return _decide(g, k, p, _far_pairs(g, p))
 
 
 def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
@@ -243,27 +277,27 @@ def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
     """
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an int of at least 0, got {k!r}")
-    rows = _connected_rows(g)
+    far = _far_pairs(g, None)
     if k == 0:
         return SolveResult(is_complete(g), None, 0)
-    return _decide(g, k, None, rows)
+    return _decide(g, k, None, far)
 
 
 def rvc_exact(g: Graph):
     """Smallest k that rainbow vertex-connects g, with a witness coloring.
 
-    One distance table serves the connectivity check, the diameter and every
-    decision.  The scan starts at the diameter - 1 lower bound; a graph of
-    diameter at most 1 is complete and needs no colors.  n-2 colors always
-    suffice (color the internal vertices of a spanning tree distinctly), so
-    the scan terminates.
+    A complete graph needs no colors.  Otherwise one far-pair list serves the
+    connectivity check, the diameter and every decision.  The scan starts at
+    the diameter - 1 lower bound, which is 1 when no pair is at distance 3 or
+    more.  n-2 colors always suffice (color the internal vertices of a
+    spanning tree distinctly), so the scan terminates.
     """
-    rows = _connected_rows(g)
-    diam = max(map(max, rows))
-    if diam <= 1:
+    if is_complete(g):
         return 0, None
-    for k in range(diam - 1, g.n - 1):
-        result = _decide(g, k, None, rows)
+    far = _far_pairs(g, None)
+    start = max((row[a] for a, _, row in far), default=2) - 1
+    for k in range(start, g.n - 1):
+        result = _decide(g, k, None, far)
         if result.decision:
             return k, result.witness
     raise RuntimeError(f"no decision up to the n-2 bound for n={g.n}")
@@ -285,10 +319,11 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     def undo(v: int, col: int, _token) -> None:
         masks[col] &= ~(1 << v)
 
-    colors, nodes = _canonical_search(_assignment_order(g), k, place, undo)
-    if colors is None:
+    order = _assignment_order(g)
+    chosen, nodes = _canonical_search(order, k, place, undo)
+    if chosen is None:
         return SolveResult(False, None, nodes)
-    witness = VertexColoring(tuple(colors), k)
+    witness = _coloring(g.n, order, chosen, k)
     for u, v in g.edges:
         if witness.colors[u] == witness.colors[v]:
             raise RuntimeError("proper-coloring search returned an improper coloring")

@@ -352,7 +352,48 @@ class TestReduceLemma1:
         dot = tmp_path / "pendant.dot"
         assert cli_main(["reduce-lemma1", "-i", p5_file, "--dot", str(dot)]) == 0
         assert "style=dashed" in dot.read_text()
-        capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce-lemma1"], ["reduce-lemma1", "-o", "{out}"], ["gadget", "-k", "2", "-o", "{out}"]],
+    ids=["reduce-lemma1", "reduce-lemma1-out", "gadget-out"],
+)
+def test_unopenable_dot_path_writes_nothing(argv, p3_file, tmp_path, capsys):
+    # The main output must not go out before the --dot path is known to open.
+    out = tmp_path / "out.json"
+    argv = [a.format(out=out) for a in argv]
+    bad_dot = str(tmp_path / "nodir" / "x.dot")
+    assert cli_main(argv + ["-i", p3_file, "--dot", bad_dot]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["decide", "-k", "3"], ["subset", "-k", "3", "--pairs", "[[0, 4]]"]],
+    ids=["solve", "decide", "subset"],
+)
+def test_unopenable_out_path_prints_no_answer(argv, p5_file, tmp_path, capsys):
+    # The answer on stdout must not go out before the -o path is known to open.
+    bad_out = str(tmp_path / "nodir" / "w.json")
+    assert cli_main(argv + ["-i", p5_file, "-o", bad_out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+
+
+def test_unopenable_dot_path_leaves_an_existing_out_file(p3_file, tmp_path, capsys):
+    # An -o file that already exists keeps its contents when --dot cannot open.
+    out = tmp_path / "old.json"
+    out.write_text("old\n")
+    bad_dot = str(tmp_path / "nodir" / "g.dot")
+    argv = ["gadget", "-i", p3_file, "-k", "2", "-o", str(out), "--dot", bad_dot]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "old\n"
 
 
 class TestClaims:

@@ -154,6 +154,35 @@ class TestFullDecision:
             with pytest.raises(ValueError):
                 decide_rvc_le_k(g, k)
 
+    def test_search_assigns_only_vertices_on_candidate_sets(self):
+        # P4 at k = 2: the one far pair (0, 3) has the one set {1, 2}, so the
+        # search tries 1 -> 1, 2 -> 1 (blocked) and 2 -> 2; 0 and 3 take 1.
+        res = decide_rvc_le_k(path_graph(4), 2)
+        assert res.decision and res.witness.colors == (1, 1, 2, 1)
+        assert res.nodes_explored == 3
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), star_graph(6)], ids=["C5", "star"])
+    def test_diameter_two_needs_no_search(self, g):
+        # No pair is at distance 3 or more, so no vertex is assigned.
+        res = decide_rvc_le_k(g, 1)
+        assert res.decision and res.witness.colors == (1,) * g.n
+        assert res.nodes_explored == 0
+
+
+def test_two_triangles_are_rejected_everywhere():
+    # Every pair within one triangle is near, so connectivity must not rest
+    # on the far pairs alone.
+    g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    entries = [
+        lambda: rvc_exact(g),
+        lambda: decide_rvc_le_k(g, 0),
+        lambda: decide_rvc_le_k(g, 2),
+        lambda: decide_subset_rvc(g, pair_set([(0, 1)]), 2),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="connected"):
+            entry()
+
 
 class TestExactValue:
     def test_known_families(self):
@@ -246,14 +275,15 @@ def test_dropping_pairs_never_hurts(gp, k, data):
 
 def test_search_is_pinned_on_the_small_catalog():
     # Decision, node count and witness of rvc <= k for k = 1..3 on every
-    # connected graph with n <= 6 (429 decisions), recorded before the
-    # candidate sets came from induced paths and colors from bitmasks.
+    # connected graph with n <= 6 (429 decisions).  Re-recorded when the
+    # search stopped assigning vertices on no candidate set: every decision
+    # and witness stayed as before, and the nodes fell from 2,162 to 483.
     digest = hashlib.sha256()
     for g in connected_graphs(6):
         for k in (1, 2, 3):
             r = decide_rvc_le_k(g, k)
             digest.update(repr((r.decision, r.nodes_explored, r.witness and r.witness.colors)).encode())
-    assert digest.hexdigest() == "d39c5a905209f22eb1456e58394e3c713662a9980af086a1c1b629537f4b7a9d"
+    assert digest.hexdigest() == "d4aaef00d38763310df4f1be5fc90c7145f0678456be80eae8468834d6663933"
 
 
 def _minimal_internal_sets(g, a, b, cap):
