@@ -40,25 +40,33 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _write_outputs(*outputs) -> None:
-    """Write each (text, path) in order, to stdout where path is None.
+def _probe(*paths) -> list:
+    """Open each path for append, which changes no file; returns the files it created.
 
-    Every path is first opened for append, which changes no file, so a path
-    that cannot be opened stops the call before anything is written; a file
-    that this probe created is removed again.
+    A path that cannot be opened raises, and the files created before it
+    are removed again.
     """
     created = []
     try:
-        for _, path in outputs:
-            if path is not None:
-                new = not os.path.exists(path)
-                open(path, "a", encoding="utf-8").close()
-                if new:
-                    created.append(path)
+        for path in paths:
+            new = not os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if new:
+                created.append(path)
     except OSError:
         for path in created:
             os.remove(path)
         raise
+    return created
+
+
+def _write_outputs(*outputs) -> None:
+    """Write each (text, path) in order, to stdout where path is None.
+
+    Every path is probed first, so a path that cannot be opened stops the
+    call before anything is written.
+    """
+    _probe(*(path for _, path in outputs if path is not None))
     for text, path in outputs:
         if path is None:
             sys.stdout.write(text)
@@ -204,24 +212,34 @@ def _cmd_claims(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # More workers than CPUs only adds processes; never start more.
     jobs = min(args.jobs, os.cpu_count() or 1)
-    reports = run_suite(args.suite, jobs=jobs)
-    for r in reports:
-        line = f"{r.status.upper():<5} {r.check:<19} {r.instance}"
-        if r.detail:
-            line += f"  ({r.detail})"
-        print(line)
-    npass = sum(r.status == "pass" for r in reports)
-    nfail = sum(r.status == "fail" for r in reports)
-    nskip = sum(r.status == "skip" for r in reports)
-    print(f"{len(reports)} checks: {npass} pass, {nfail} fail, {nskip} skip")
-    if args.out:
-        payload = [
-            {"check": r.check, "instance": r.instance, "status": r.status, "detail": r.detail}
-            for r in reports
-        ]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    # The -o path is probed before the sweep, so a path that cannot be
+    # opened costs no sweep and prints nothing.  The lines and the JSON are
+    # still streamed, since holding the full report as text would raise the
+    # sweep's peak memory.
+    created = _probe(args.out) if args.out else []
+    try:
+        reports = run_suite(args.suite, jobs=jobs)
+        for r in reports:
+            line = f"{r.status.upper():<5} {r.check:<19} {r.instance}"
+            if r.detail:
+                line += f"  ({r.detail})"
+            print(line)
+        npass = sum(r.status == "pass" for r in reports)
+        nfail = sum(r.status == "fail" for r in reports)
+        nskip = sum(r.status == "skip" for r in reports)
+        print(f"{len(reports)} checks: {npass} pass, {nfail} fail, {nskip} skip")
+        if args.out:
+            payload = [
+                {"check": r.check, "instance": r.instance, "status": r.status, "detail": r.detail}
+                for r in reports
+            ]
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     return 1 if nfail else 0
 
 

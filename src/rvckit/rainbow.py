@@ -14,10 +14,15 @@ colors as its path has edges.  There are two searches:
   boolean verifiers answers every requested pair in one pass from all
   sources, each state carrying a bitset of the sources that reach it.  It
   is the table of the colorful-path dynamic program of color-coding (Alon,
-  Yuster and Zwick, J. ACM 42(4), 1995).  With at most 6 colors in use a
-  level is held densely: one int per vertex packs the source bitset of
-  every color set, so a level step is one big-int OR per edge; with more
-  colors it is a dict of the live states;
+  Yuster and Zwick, J. ACM 42(4), 1995).  One pass over the neighbour
+  bitmasks serves every pair within distance 2, which is rainbow under any
+  coloring; then one loop grows levels 2..k, checks the state count
+  against the budget after each and serves from it.  The states of a level
+  are held in one of two layouts, which supply only the storage and the
+  two steps, grow and serve.  With at most 6 colors in use a level is held
+  densely: one int per vertex packs the source bitset of every color set,
+  so a level step is one big-int OR per edge; with more colors it is a
+  dict of the live states;
 - the witness search behind :func:`exists_rainbow_path` runs from one
   source to one target, links states to their parents and prunes them by
   subset dominance, so it can return the shortest, lexicographically least
@@ -240,15 +245,18 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
     internal vertices are those carrying M.  A state expands to
     (y, M | bit(y)) for each neighbour y whose color is not in M, and states
     with equal keys merge by OR.  Sources whose pairs are all served are
-    masked out.  The search stops when nothing is missing, when no state is
-    left, or after level k, where M holds every color.
+    masked out.
 
-    Levels 0 and 1 are closed forms shared by both layouts below.  The
-    sources themselves form level 0, which serves each y from the bitmask
-    of its neighbours.  Level 1 is (x, {c(x)}) holding the still-active
-    sources among x's neighbours, and it serves every neighbour of x.  So
-    these two levels serve exactly the pairs within distance 2, and neither
-    layout is built when no farther pair is missing or when k = 1.
+    A path of at most two edges has at most one internal vertex, so it is
+    rainbow under every coloring.  One pass over ``g.masks`` serves every
+    pair within distance 2: b is within distance 2 of y when it is in
+    ``masks[y]`` or in ``masks[x]`` for a neighbour x of y.  Only when
+    k > 1 and some source still lacks a farther pair is level 1 built:
+    (x, {c(x)}) holds the still-active sources among x's neighbours.  Then
+    one loop runs levels 2..k.  Each pass grows one level from the active
+    sources, counts its states against the budget and serves from it.  The
+    loop stops when nothing grows, when nothing is missing, or after level
+    k, where M holds every color.
 
     Merging per (x, M) is exact.  Repeated colors are barred, so the
     vertices after the source never repeat, and every walk a source's bit
@@ -256,21 +264,23 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
     re-enter its own source; then its part after the last visit to the
     source is a shorter rainbow path to the same vertex, so serving from it
     is still sound.  Conversely every rainbow path s, v1, ..., vl, y puts s
-    into state (vl, colors of v1..vl), which serves y.  Both layouts hold
-    the same states with the same source bitsets and differ only in how
-    they store them.
+    into state (vl, colors of v1..vl), which serves y.
 
-    The layout is chosen by K, the largest color the coloring uses (at most
-    ``c.k``).  With K <= 6 (``_DENSE_MAX_COLOR``) each level is one packed
-    int per vertex, :func:`_dense_levels`; above it the states are a dict
-    keyed by (x, M), :func:`_sparse_levels`.  The packed table costs
-    2**K * (n+1) bits per vertex whatever the number of live states.  On
-    ten seeded G(60, 0.06) with random colorings, all pairs, it took
-    0.84-0.96x the dict's process time at k = 5 and 6, 0.89-0.99x at
-    k = 7 and 8, 1.1x at k = 9, 1.7x at k = 10 and 2.5x at k = 12; on the
-    gadgets of levels 2..5 it took about 0.7x.  Past 6 colors the gain is
-    gone while the table keeps doubling with each color, so the cut is a
-    constant there.
+    The layout of the states is chosen by K, the largest color the coloring
+    uses (at most ``c.k``).  With K <= 6 (``_DENSE_MAX_COLOR``) each level
+    is one packed int per vertex, :func:`_dense_levels`; above it the states
+    are a dict keyed by (x, M), :func:`_sparse_levels`.  Each builds its
+    storage from the level-1 seeds and returns two steps: ``grow(active)``
+    makes the next level for the active sources and returns its number of
+    states, and ``serve(missing)`` clears the sources that level serves and
+    returns the sources still missing.  Both hold the same states with the
+    same source bitsets.  The packed table costs 2**K * (n+1) bits per
+    vertex whatever the number of live states.  On ten seeded G(60, 0.06)
+    with random colorings, all pairs, it took 0.84-0.96x the dict's process
+    time at k = 5 and 6, 0.89-0.99x at k = 7 and 8, 1.1x at k = 9, 1.7x at
+    k = 10 and 2.5x at k = 12; on the gadgets of levels 2..5 it took about
+    0.7x.  Past 6 colors the gain is gone while the table keeps doubling
+    with each color, so the cut is a constant there.
 
     The states stay within path_budget(n, min(k, n)): a level-l state is
     fixed by the l vertices after the source, so level l holds at most n**l
@@ -281,43 +291,42 @@ def _serve_from_all_sources(g: Graph, c: VertexColoring, missing: list) -> None:
     Counters: ``search_stats.calls`` grows by the number of distinct
     sources, so it still counts source searches and matches a search per
     source on every yes-answer.  ``expansions`` counts the states of levels
-    1..k, and ``max_expansions`` is the largest such count of one
-    verification.  A state is made only for sources still missing a pair,
-    so both layouts count the same states.
+    1..k, which exist only for sources still missing a pair beyond distance
+    2, and ``max_expansions`` is the largest such count of one verification.
     """
     n = g.n
-    active = 0
-    for m in missing:
-        active |= m
-    searched = active.bit_count()
-    # Level 0: the direct edges.
     nbrs = g.masks
+    adj = g.adjacency
+    searched = 0
     active = 0
     for y, m in enumerate(missing):
         if m:
-            m &= ~nbrs[y]
+            searched |= m
+            near = nbrs[y]
+            for x in adj[y]:
+                near |= nbrs[x]
+            m &= ~near
             missing[y] = m
             active |= m
     expansions = 0
-    if active:
+    if active and c.k > 1:
         seeds = [nb & active for nb in nbrs]
         expansions = n - seeds.count(0)
         budget = path_budget(n, min(c.k, n))
         _check_budget(expansions, budget)
-        # Level 1 serves the neighbours of each state's vertex.
-        adj = g.adjacency
-        active = 0
-        for y, m in enumerate(missing):
-            if m:
-                for x in adj[y]:
-                    m &= ~seeds[x]
-                missing[y] = m
-                active |= m
-        if active and c.k > 1:
-            levels = _dense_levels if max(c.colors) <= _DENSE_MAX_COLOR else _sparse_levels
-            expansions = levels(c, adj, missing, seeds, active, expansions, budget)
+        levels = _dense_levels if max(c.colors) <= _DENSE_MAX_COLOR else _sparse_levels
+        grow, serve = levels(c, adj, seeds)
+        for _ in range(2, c.k + 1):
+            grown = grow(active)
+            if not grown:
+                break
+            expansions += grown
+            _check_budget(expansions, budget)
+            active = serve(missing)
+            if not active:
+                break
 
-    search_stats.calls += searched
+    search_stats.calls += searched.bit_count()
     search_stats.expansions += expansions
     search_stats.max_expansions = max(search_stats.max_expansions, expansions)
 
@@ -371,48 +380,40 @@ def _dense_tables(n: int, colors: int) -> tuple:
     return R, full[colors], R << n, by_color, folds
 
 
-def _dense_levels(
-    c: VertexColoring,
-    adj: tuple,
-    missing: list,
-    seeds: list,
-    active: int,
-    expansions: int,
-    budget: int,
-) -> int:
-    """Levels 2..k of the verification search as one packed int per vertex.
+def _dense_levels(c: VertexColoring, adj: tuple, seeds: list) -> tuple:
+    """The two steps of the verification search over one packed int per vertex.
 
     With K the largest color, ``T[x]`` holds the level's states at x in
     2**K blocks of n+1 bits: block M, bits M*(n+1) to M*(n+1) + n - 1, is
     the source bitset of (x, M), with color j on bit j-1 of M.  The top bit
-    of each block is a guard that stays zero.  From level l to l+1:
+    of each block is a guard that stays zero.  The storage is ``U[y]``, the
+    OR of ``T[x]`` over the neighbours x with live states, which costs one
+    big-int OR per edge (:func:`_spread`); level 1 puts ``seeds[x]`` in
+    block {c(x)}.
 
-    - ``U[y]``, the OR of ``T[x]`` over the neighbours x with live states,
-      costs one big-int OR per edge (:func:`_spread`);
-    - the next ``T[y]`` keeps the blocks of ``U[y]`` whose set lacks c(y),
-      moves block M to block M | bit(c(y)) by a left shift of bit(c(y))
-      blocks, and keeps the active sources in every block (``active * R``,
-      R holding bit 0 of every block);
-    - y is served by the sources in any block of the new level's ``U[y]``,
-      found by folding the upper half of the blocks onto the lower half K
-      times.
+    - ``grow`` makes the next ``T[y]``: it keeps the blocks of ``U[y]``
+      whose set lacks c(y), moves block M to block M | bit(c(y)) by a left
+      shift of bit(c(y)) blocks, and keeps the active sources in every block
+      (``active * R``, R holding bit 0 of every block); then it spreads T.
+    - ``serve`` clears from ``missing[y]`` the sources in any block of
+      ``U[y]``, found by folding the upper half of the blocks onto the lower
+      half K times.
 
     ORing two tables merges the states of each color set, as the dict
     merges equal keys, so the tables hold exactly the dict's states.  A
     block is a live state when it is nonzero.  Adding L, the n source
     bits of every block, carries exactly those blocks into their guard bit
     (H) without touching the next block, so ``((t + L) & H).bit_count()``
-    counts the states at a vertex.  Returns the running expansion count.
+    counts the states at a vertex.
     """
     n = len(adj)
     width = n + 1
-    colors = max(c.colors)
-    R, L, H, by_color, folds = _dense_tables(n, colors)
+    R, L, H, by_color, folds = _dense_tables(n, max(c.colors))
     move = [by_color[col] for col in c.colors]
-    # T at level 1 puts seeds[y] in block {c(y)}.
     U = _spread(adj, [s << (width << (col - 1)) for s, col in zip(seeds, c.colors)])
-    level = 1
-    while True:
+
+    def grow(active: int) -> int:
+        nonlocal U
         keep = active * R
         grown = 0
         for y, u in enumerate(U):
@@ -422,13 +423,10 @@ def _dense_levels(
                 if u:
                     grown += ((u + L) & H).bit_count()
                 U[y] = u
-        if not grown:
-            break
-        level += 1
-        expansions += grown
-        _check_budget(expansions, budget)
-        # U now holds the new level's T.
         U = _spread(adj, U)
+        return grown
+
+    def serve(missing: list) -> int:
         active = 0
         for y, m in enumerate(missing):
             if m:
@@ -438,26 +436,20 @@ def _dense_levels(
                 m &= ~u
                 missing[y] = m
                 active |= m
-        if not active or level == c.k:
-            break
-    return expansions
+        return active
+
+    return grow, serve
 
 
-def _sparse_levels(
-    c: VertexColoring,
-    adj: tuple,
-    missing: list,
-    seeds: list,
-    active: int,
-    expansions: int,
-    budget: int,
-) -> int:
-    """Levels 2..k of the verification search as a dict of live states.
+def _sparse_levels(c: VertexColoring, adj: tuple, seeds: list) -> tuple:
+    """The two steps of the verification search over a dict of live states.
 
     A state key packs (x, M) as M << shift | x.  Moving to a neighbour y
     ORs step[y] = bit(y) << shift | y into M << shift, and their AND is
-    nonzero exactly when the color of y is already in M.  Returns the
-    running expansion count.
+    nonzero exactly when the color of y is already in M.  ``grow`` replaces
+    the frontier by the next level's states from the active sources;
+    ``serve`` clears from ``missing[y]`` the sources of the states at y's
+    neighbours.
     """
     n = len(adj)
     shift = n.bit_length()
@@ -465,8 +457,9 @@ def _sparse_levels(
     step = [b << shift | y for y, b in enumerate(_color_bits(c))]
     moves = [[step[y] for y in ys] for ys in adj]
     frontier = {step[y]: s for y, s in enumerate(seeds) if s}
-    level = 1
-    while True:
+
+    def grow(active: int) -> int:
+        nonlocal frontier
         grown = defaultdict(int)
         for key, sources in frontier.items():
             sources &= active
@@ -476,12 +469,10 @@ def _sparse_levels(
                 for t in moves[x]:
                     if not mask & t:
                         grown[mask | t] |= sources
-        if not grown:
-            break
         frontier = grown
-        level += 1
-        expansions += len(frontier)
-        _check_budget(expansions, budget)
+        return len(grown)
+
+    def serve(missing: list) -> int:
         reach = [0] * n
         for key, sources in frontier.items():
             reach[key & low] |= sources
@@ -494,9 +485,9 @@ def _sparse_levels(
                 m &= ~served
                 missing[y] = m
                 active |= m
-        if not active or level == c.k:
-            break
-    return expansions
+        return active
+
+    return grow, serve
 
 
 def first_unserved_pair(g: Graph, c: VertexColoring, p: PairSet | None = None) -> tuple | None:

@@ -136,10 +136,9 @@ def _induced_path_sets(g: Graph, dist: list, a: int, b: int, max_len: int) -> li
     the closed neighbourhoods of every path vertex but the last, and extends
     only outside it, so no path gets a chord.  Once the last vertex touches
     b, the path must end there.  Partial paths that cannot reach b within the
-    budget are cut using ``dist``, the exact distances to b.
+    budget are cut using ``dist``, the exact distances to b, which
+    ``_far_pairs`` has checked hold no ``None``.
     """
-    if dist[a] is None:
-        return []
     adj = g.masks
     out = []
     bit_b = 1 << b
@@ -152,8 +151,7 @@ def _induced_path_sets(g: Graph, dist: list, a: int, b: int, max_len: int) -> li
         reach = used + 1
         banned_next = banned | adj[here] | (1 << here)
         for y in g.neighbors(here):
-            d = dist[y]
-            if d is not None and reach + d <= max_len and not banned >> y & 1:
+            if reach + dist[y] <= max_len and not banned >> y & 1:
                 stack.append((y, banned_next, inner | (1 << y), reach))
     return out
 

@@ -14,6 +14,7 @@ from rvckit.cli import _field_arg, build_parser, cli_main
 from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import coloring, graph_from_edges, pair_set
+from rvckit.harness import ClaimReport
 from rvckit.io import emit_gadget, emit_instance, parse_gadget, parse_instance
 from test_io import (
     all_hubs_but_one_base,
@@ -59,6 +60,15 @@ class TestSolve:
         assert cli_main(["solve", "-i", str(path)]) == 0
         out = capsys.readouterr().out
         assert "rvc = 0" in out and "coloring = none" in out
+        # The -o file records k = 0 and carries no coloring.
+        written = tmp_path / "k3-out.json"
+        assert cli_main(["solve", "-i", str(path), "-o", str(written)]) == 0
+        capsys.readouterr()
+        assert json.loads(written.read_text()) == {
+            "n": 3,
+            "edges": [[0, 1], [0, 2], [1, 2]],
+            "k": 0,
+        }
 
     def test_out_file_round_trips(self, p5_file, tmp_path, capsys):
         out = tmp_path / "witness.json"
@@ -126,6 +136,13 @@ class TestVerify:
     def test_missing_coloring_is_usage_error(self, p5_file, capsys):
         assert cli_main(["verify", "-i", p5_file]) == 2
         capsys.readouterr()
+
+    def test_unparsable_inline_coloring_is_usage_error(self, p5_file, capsys):
+        # "[1, 2" names no file, so it is read as JSON and cannot be.
+        assert cli_main(["verify", "-i", p5_file, "--coloring", "[1, 2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected a file path or inline JSON: ")
 
     @pytest.mark.parametrize("pairs", ["[[-1, 2]]", "[[0, true]]", '{"pairs": [[false, 2]]}'])
     def test_bad_vertex_ids_in_pairs_are_usage_errors(self, p5_file, pairs, capsys):
@@ -447,6 +464,48 @@ class TestClaims:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert cli_main(["claims", "--suite", "bogus"]) == 2
         capsys.readouterr()
+
+    def test_a_failed_check_prints_its_detail_and_exits_one(self, monkeypatch, tmp_path, capsys):
+        # No suite fails today, so the sweep is replaced by one failing report.
+        report = ClaimReport("equivalence", "n=3", "fail", "sides disagree")
+        monkeypatch.setattr("rvckit.cli.run_suite", lambda name, jobs=1: [report])
+        out = tmp_path / "c.json"
+        assert cli_main(["claims", "--suite", "equivalence", "-o", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL  equivalence         n=3  (sides disagree)\n"
+            "1 checks: 0 pass, 1 fail, 0 skip\n"
+        )
+        assert json.loads(out.read_text()) == [
+            {"check": "equivalence", "instance": "n=3", "status": "fail", "detail": "sides disagree"}
+        ]
+
+    def test_unopenable_out_path_runs_no_sweep(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr("rvckit.cli.run_suite", lambda name, jobs=1: calls.append(name) or [])
+        bad_out = tmp_path / "nodir" / "c.json"
+        assert cli_main(["claims", "--suite", "equivalence", "-o", str(bad_out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "No such file or directory" in captured.err
+        assert not bad_out.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+    def test_crashed_sweep_removes_only_an_out_file_it_created(
+        self, monkeypatch, tmp_path, capsys, existed
+    ):
+        def crash(name, jobs=1):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("rvckit.cli.run_suite", crash)
+        out = tmp_path / "c.json"
+        if existed:
+            out.write_text("old\n")
+        assert cli_main(["claims", "--suite", "equivalence", "-o", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert out.exists() == existed
+        if existed:
+            assert out.read_text() == "old\n"
 
 
 class TestUsageAndErrors:

@@ -66,6 +66,7 @@ class TestConstruction:
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3
         assert g.degree(1) == 1
+        assert g.has_edge(3, 0) and not g.has_edge(0, 0)
 
     def test_normalize_pair(self):
         assert normalize_pair(3, 1) == (1, 3)

@@ -27,7 +27,7 @@ from rvckit.harness import (
     run_suite,
     suite_jobs,
 )
-from rvckit.solver import decide_subset_rvc
+from rvckit.solver import SolveResult, decide_subset_rvc
 
 P3 = path_graph(3)
 P3_PAIR = pair_set([(0, 1)])
@@ -111,6 +111,37 @@ class TestChecksOnHealthyGadgets:
         assert check_pendant_equivalence(complete_graph(4), 3).status == "pass"
         with pytest.raises(ValueError):
             check_pendant_equivalence(P3, 2)
+
+    @pytest.mark.parametrize(
+        "name, fake, check, detail",
+        [
+            (
+                "decide_rvc_le_k",
+                lambda g, k: SolveResult(False, None, 0),
+                lambda: check_reduction_equivalence(P3, pair_set([(0, 2)]), 2),
+                "subset decision True but gadget decision False",
+            ),
+            (
+                "is_subset_rainbow_vc",
+                lambda g, c, p: False,
+                lambda: check_reduction_equivalence(P3, pair_set([(0, 2)]), 2),
+                "gadget witness projects to a failing coloring",
+            ),
+            (
+                "chromatic_decision",
+                lambda g, k: SolveResult(False, None, 0),
+                lambda: check_pendant_equivalence(cycle_graph(5), 3),
+                "chromatic decision False but subset decision True",
+            ),
+        ],
+        ids=["gadget-side", "projection", "chromatic-side"],
+    )
+    def test_equivalence_checks_report_a_disagreement(self, monkeypatch, name, fake, check, detail):
+        # Each side is decided on its own, so making one side lie must fail
+        # the check with the detail that names it.
+        monkeypatch.setattr(harness, name, fake)
+        r = check()
+        assert (r.status, r.detail) == ("fail", detail)
 
 
 class TestCorruptions:

@@ -126,6 +126,11 @@ class TestExistsRainbowPath:
         with pytest.raises(ValueError, match="not an int"):
             distance(g, v, 0)
 
+    @pytest.mark.parametrize("v", [4, -1])
+    def test_rejects_out_of_range_vertex_ids(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+            exists_rainbow_path(path_graph(4), coloring([1, 2, 3, 1]), 0, v)
+
     def test_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
             exists_rainbow_path(path_graph(3), coloring([1, 1, 1]), 2, 2)
@@ -165,6 +170,11 @@ class TestSubsetAndFullVerification:
         with pytest.raises(ValueError):
             is_rainbow_vertex_connected(g, coloring([1, 1, 1, 1]))
 
+    @pytest.mark.parametrize("pairs", [None, pair_set([(0, 2)])], ids=["all", "subset"])
+    def test_coloring_of_the_wrong_length_is_rejected(self, pairs):
+        with pytest.raises(ValueError, match="coloring has 3 entries, graph has 4 vertices"):
+            first_unserved_pair(path_graph(4), coloring([1, 1, 1]), pairs)
+
     def test_empty_pair_set_is_vacuous(self):
         g = path_graph(5)
         assert is_subset_rainbow_vc(g, coloring([1] * 5), pair_set([]))
@@ -191,16 +201,15 @@ class TestSearchAccounting:
 
 
     def test_verification_counts_states_exactly(self):
-        # P4 colored 1, 2, 3, 1, with sources 0, 1 and 2.  The edges serve
-        # three pairs; the sources 0 and 1 still lack a pair.  Level 1 holds
-        # (0, {1}), (1, {2}) and (2, {3}), which serve (0, 2) and (1, 3);
-        # only source 0 is left, and its state (1, {2}) grows into
-        # (0, {1, 2}) and (2, {2, 3}), which serves (0, 3).  Five states in
+        # P4 colored 1, 2, 3, 1, with sources 0, 1 and 2.  The pass over
+        # distance 2 serves every pair but (0, 3), so only source 0 is left
+        # and level 1 holds its one state (1, {2}).  That grows into
+        # (0, {1, 2}) and (2, {2, 3}), which serves (0, 3).  Three states in
         # all, in either layout.
         for colors in ([1, 2, 3, 1], [7, 2, 3, 7]):
             search_stats.reset()
             assert is_rainbow_vertex_connected(path_graph(4), coloring(colors))
-            assert (search_stats.calls, search_stats.expansions) == (3, 5)
+            assert (search_stats.calls, search_stats.expansions) == (3, 3)
 
 
 @given(colored_graphs_st())
