@@ -215,27 +215,21 @@ def distances_from(g: Graph, s: int) -> list:
 
 
 def adjacency_distances(adj, s: int) -> list:
-    """BFS distance from s over neighbour lists ``adj[v]``; None where unreachable."""
+    """BFS distance from s over neighbour lists ``adj[v]``; None where unreachable.
+
+    ``queue`` is read while it grows, so it is the BFS's FIFO: every vertex
+    is appended once, when first reached, one step past the vertex it was
+    reached from.
+    """
     dist: list = [None] * len(adj)
     dist[s] = 0
-    frontier = [s]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if dist[y] is None:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
+    queue = [s]
+    for x in queue:
+        for y in adj[x]:
+            if dist[y] is None:
+                dist[y] = dist[x] + 1
+                queue.append(y)
     return dist
-
-
-def distance_rows(g: Graph) -> list:
-    """The all-pairs distance table: ``rows[u][v]``, None when unreachable."""
-    adj = g.adjacency
-    return [adjacency_distances(adj, u) for u in range(g.n)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -243,7 +237,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> int:
-    rows = distance_rows(g)
+    rows = [distances_from(g, u) for u in range(g.n)]
     if None in rows[0]:
         raise ValueError("diameter is undefined for a disconnected graph")
     return max(map(max, rows))
@@ -268,10 +262,14 @@ def remove_edges(g: Graph, drop: Iterable) -> Graph:
 def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterator[tuple]:
     """Yield every simple u-v path with at most max_len edges.
 
-    Paths come out in DFS prefix order with neighbors visited in ascending
-    order, so the sequence is deterministic.  Partial paths that cannot
-    reach v within the remaining budget are cut using exact distances to v,
-    which prunes nothing that could still complete.
+    The walk pops whole partial paths from a stack and pushes each one's
+    extensions in descending order of the new vertex, so they come back
+    ascending: paths come out in DFS prefix order, which is sorted order.
+    A partial path is extended to y only when its edges plus the exact
+    distance from y to v stay within max_len, which prunes nothing that
+    could still complete.  Every vertex in u's component has a distance to
+    v once u has one, and u != v puts that distance at 1 or more, so a
+    max_len below 1 yields nothing.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -279,30 +277,17 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
         raise ValueError("path endpoints must differ")
     if max_len is None:
         max_len = g.n - 1
-    if max_len < 1:
-        return
 
-    dist_to_v = distances_from(g, v)
-    if dist_to_v[u] is None or dist_to_v[u] > max_len:
+    dist = distances_from(g, v)
+    if dist[u] is None or dist[u] > max_len:
         return
-    # stack[i] iterates the neighbors of path[i] not yet tried.
-    path = [u]
-    on_path = {u}
-    stack = [iter(g.neighbors(u))]
+    stack = [(u,)]
     while stack:
-        y = next(stack[-1], None)
-        if y is None:
-            stack.pop()
-            on_path.discard(path.pop())
+        path = stack.pop()
+        x = path[-1]
+        if x == v:
+            yield path
             continue
-        if y == v:
-            yield tuple(path) + (v,)
-            continue
-        if y in on_path:
-            continue
-        d = dist_to_v[y]
-        if d is None or len(path) + d > max_len:
-            continue
-        path.append(y)
-        on_path.add(y)
-        stack.append(iter(g.neighbors(y)))
+        for y in reversed(g.neighbors(x)):
+            if len(path) + dist[y] <= max_len and y not in path:
+                stack.append(path + (y,))

@@ -9,6 +9,11 @@ An instance file is a single JSON object with keys, in this order:
     k         color budget, or gadget level in gadget files (optional)
     labels    per-vertex label strings, gadget files only (optional)
 
+``k`` is read by one parser for every file, coloring or not: when present
+it must be an integer >= 0 (``solve -o`` writes ``"k": 0`` when there is
+no witness coloring).  With a coloring it must be at least 1 and defaults
+to the largest color; in a gadget file it is required and at least 2.
+
 Emission is deterministic: fixed key order, sorted lists, two-space indent,
 trailing newline.  ``pairs: []`` means "an explicitly empty pair set" and is
 distinct from omitting the key.
@@ -85,7 +90,22 @@ def _parse_pairs(obj: dict, g: Graph) -> PairSet | None:
     return ps
 
 
+def _parse_k(obj: dict) -> int | None:
+    """The file's ``k`` as an int >= 0, or None when the key is absent."""
+    if "k" not in obj:
+        return None
+    k = obj["k"]
+    if not _is_int(k) or k < 0:
+        raise InstanceFormatError("field 'k' must be a non-negative integer")
+    return k
+
+
 def _parse_coloring(obj: dict, g: Graph) -> VertexColoring | None:
+    """The coloring, with budget ``k`` (at least 1; the largest color when absent), or None.
+
+    ``k`` is checked whether or not a coloring is given.
+    """
+    k = _parse_k(obj)
     raw = obj.get("coloring")
     if raw is None:
         return None
@@ -95,8 +115,8 @@ def _parse_coloring(obj: dict, g: Graph) -> VertexColoring | None:
         raise InstanceFormatError(
             f"coloring has {len(raw)} entries, graph has {g.n} vertices"
         )
-    k = obj.get("k", max(raw, default=1))
-    if not _is_int(k) or k < 1:
+    k = max(raw) if k is None else k
+    if k < 1:
         raise InstanceFormatError("field 'k' must be a positive integer")
     try:
         return VertexColoring(tuple(raw), k)
@@ -177,8 +197,8 @@ def parse_gadget(text: str) -> tuple[GadgetGraph, VertexColoring | None]:
     pairs = _parse_pairs(obj, g)
     if pairs is None:
         raise InstanceFormatError("gadget file must carry a 'pairs' key")
-    k = obj.get("k")
-    if not _is_int(k) or k < 2:
+    k = _parse_k(obj)
+    if k is None or k < 2:
         raise InstanceFormatError("gadget file must carry an integer 'k' >= 2")
     labels = obj.get("labels")
     if not isinstance(labels, list):

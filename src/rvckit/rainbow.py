@@ -5,7 +5,8 @@ endpoints are unconstrained.  With a budget of k colors a rainbow path has at
 most k internal vertices, so every search below caps path length at k+1 edges.
 
 Both searches run over states (current vertex, set of colors on the path's
-vertices after the source).  Because internal colors must stay distinct, two
+vertices after the source); the witness search keeps the whole path, which
+ends at the current vertex.  Because internal colors must stay distinct, two
 internal vertices can never coincide, so the color set captures a partial
 path exactly.  Each step adds one color, so a state's color set has as many
 colors as its path has edges.  There are two searches:
@@ -24,9 +25,12 @@ colors as its path has edges.  There are two searches:
   so a level step is one big-int OR per edge; with more colors it is a
   dict of the live states;
 - the witness search behind :func:`exists_rainbow_path` runs from one
-  source to one target, links states to their parents and prunes them by
-  subset dominance, so it can return the shortest, lexicographically least
-  rainbow path.
+  source to one target over one FIFO list of (path, color set) states,
+  read while it grows.  A FIFO finishes level l, in append order, before
+  it starts level l+1, so it expands the same states in the same order as
+  a level-by-level search.  It prunes states by subset dominance and
+  returns the first path that reaches the target: the shortest,
+  lexicographically least rainbow path.
 """
 
 from __future__ import annotations
@@ -133,14 +137,19 @@ def _color_bits(c: VertexColoring) -> list:
 
 
 def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
-    """The witness search: the state whose expansion first reaches target, or None.
+    """The witness search: the shortest, least rainbow source-target path, or None.
 
-    Runs a level-synchronized BFS over states (vertex, mask, parent state),
-    expanding them in lexicographic order of the underlying path, so the
-    first path reaching the target is the shortest one and lexicographically
-    least among the shortest.  Expanding the source state first reaches
-    every neighbour, since an edge has no internal vertices.
-    :func:`_path_to` reads the witness back from the returned state.
+    One FIFO list of states (path, color set) is read while it grows,
+    starting from the source's state ((source,), empty set).  Expanding a
+    state first tests whether its last vertex x is adjacent to the target:
+    then the path plus the target is the witness, since an edge adds no
+    internal vertex.  Otherwise it appends (path + (y,), M | bit(y)) for
+    each neighbour y of x, ascending, whose color is not in M.  The list
+    holds every state of level l, in append order, before any state of
+    level l+1, so it expands the states of a level-synchronized BFS in the
+    same order and makes the same decisions: in lexicographic order of
+    their paths, so the first path reaching the target is the shortest one
+    and lexicographically least among the shortest.
 
     A generated state (y, m2) is dropped when some color set m already held
     at y is a subset of m2 (``m & m2 == m``).  Any continuation from (y, m2)
@@ -149,10 +158,10 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     lengths, so a strict subset was held from an earlier level and any path
     through (y, m2) has a strictly shorter counterpart through (y, m); an
     equal set was held from an earlier, lexicographically smaller path of
-    the same length.  Hence every frontier is the frontier of the search
-    without pruning minus dominated states, in the same order and with the
-    same parents, and the witness is unchanged.  The source holds the empty
-    set, which dominates every state that would re-enter it.
+    the same length.  Hence every level is the level of the search without
+    pruning minus dominated states, in the same order, and the witness is
+    unchanged.  The source holds the empty set, which dominates every state
+    that would re-enter it.
 
     Every call asserts that the number of expanded states stays within
     path_budget(n, min(k, n)); expanded states are distinct partial paths of
@@ -162,49 +171,34 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     bit = _color_bits(c)
     budget = path_budget(g.n, min(c.k, g.n))
     expansions = 0
-    reached = None
     # seen[y] lists the masks accepted at y, in the order they were reached.
     seen = [[] for _ in range(g.n)]
     seen[source].append(0)
-    frontier = [(source, 0, None)]
-    while frontier and reached is None:
-        next_frontier = []
-        for state in frontier:
-            x, mask, _ = state
-            expansions += 1
-            _check_budget(expansions, budget)
-            for y in g.neighbors(x):
-                if y == target:
-                    reached = state
+    queue = [((source,), 0)]
+    for path, mask in queue:
+        x = path[-1]
+        expansions += 1
+        _check_budget(expansions, budget)
+        if g.masks[x] >> target & 1:
+            path += (target,)
+            break
+        for y in g.neighbors(x):
+            b = bit[y]
+            if mask & b:
+                continue
+            m2 = mask | b
+            for m in seen[y]:
+                if m & m2 == m:
                     break
-                b = bit[y]
-                if mask & b:
-                    continue
-                m2 = mask | b
-                masks = seen[y]
-                for m in masks:
-                    if m & m2 == m:
-                        break
-                else:
-                    masks.append(m2)
-                    next_frontier.append((y, m2, state))
-            if reached is not None:
-                break
-        frontier = next_frontier
+            else:
+                seen[y].append(m2)
+                queue.append((path + (y,), m2))
+    else:
+        path = None
 
     search_stats.calls += 1
     search_stats.expansions += expansions
     search_stats.max_expansions = max(search_stats.max_expansions, expansions)
-    return reached
-
-
-def _path_to(state) -> list:
-    """The vertices of the partial path that ends in state, source first."""
-    path = []
-    while state is not None:
-        path.append(state[0])
-        state = state[2]
-    path.reverse()
     return path
 
 
@@ -220,10 +214,8 @@ def exists_rainbow_path(g: Graph, c: VertexColoring, u: int, v: int) -> PathWitn
     g.check_vertex(v)
     if u == v:
         raise ValueError("rainbow path endpoints must differ")
-    state = _rainbow_search(g, c, u, v)
-    if state is None:
-        return None
-    return PathWitness(g, (*_path_to(state), v))
+    path = _rainbow_search(g, c, u, v)
+    return None if path is None else PathWitness(g, path)
 
 
 # The largest color at which the verification search packs each level into

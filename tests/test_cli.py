@@ -547,6 +547,29 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert err == "error: no coloring: give 'coloring' in the file or --coloring\n"
 
+    @pytest.mark.parametrize("k", ['"banana"', "-4"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve"],
+            ["decide", "-k", "1"],
+            ["reduce-lemma1"],
+            ["subset", "-k", "1", "--pairs", "[[0, 2]]"],
+            ["gadget", "-k", "2", "--pairs", "[[0, 2]]"],
+            ["verify", "--coloring", "[1, 1, 1]"],
+            ["lift", "-k", "2", "--pairs", "[[0, 2]]", "--coloring", "[1, 1, 1]"],
+        ],
+        ids=["solve", "decide", "reduce-lemma1", "subset", "gadget", "verify", "lift"],
+    )
+    def test_malformed_k_without_a_coloring_exits_two(self, tmp_path, k, args, capsys):
+        # The file carries no coloring, so only the one k parser sees k.
+        path = tmp_path / "p3.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]], "k": %s}' % k)
+        assert cli_main([args[0], "-i", str(path), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'k' must be a non-negative integer\n"
+
     def test_semantic_errors_exit_two(self, tmp_path, capsys):
         path = tmp_path / "split.json"
         path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')

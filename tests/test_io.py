@@ -37,6 +37,14 @@ class TestParseInstance:
         _, _, col = parse_instance('{"n": 2, "edges": [[0, 1]], "coloring": [2, 1]}')
         assert col.k == 2
 
+    def test_k_is_checked_without_a_coloring(self):
+        # solve -o writes "k": 0 when there is no witness coloring.
+        _, _, col = parse_instance('{"n": 3, "edges": [[0, 1], [1, 2]], "k": 0}')
+        assert col is None
+        for k in ('"banana"', "-4", "true", "2.0", "null"):
+            with pytest.raises(InstanceFormatError, match="field 'k' must be a non-negative"):
+                parse_instance('{"n": 3, "edges": [[0, 1], [1, 2]], "k": %s}' % k)
+
     def test_empty_pairs_differ_from_absent(self):
         _, pairs, _ = parse_instance('{"n": 2, "edges": [[0, 1]], "pairs": []}')
         assert pairs is not None and len(pairs) == 0

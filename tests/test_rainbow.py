@@ -211,6 +211,27 @@ class TestSearchAccounting:
             assert is_rainbow_vertex_connected(path_graph(4), coloring(colors))
             assert (search_stats.calls, search_stats.expansions) == (3, 3)
 
+    def test_witness_search_counts_states_exactly(self):
+        # REENTRY from 0 to 6, colors 1, 1, 2, 3, 4, 1, 1 on vertices 0..6.
+        # The FIFO expands, in order:
+        #   1. (0) {}: appends (0,1) {1} and (0,3) {3}.
+        #   2. (0,1) {1}: 0 repeats color 1; appends (0,1,2) {1,2}.
+        #   3. (0,3) {3}: (0, {1,3}) is dominated by the source's {};
+        #      appends (0,3,4) {3,4}.
+        #   4. (0,1,2) {1,2}: 1 and 5 repeat color 1; appends (0,1,2,4)
+        #      {1,2,4}, which {3,4} at 4 does not dominate.
+        #   5. (0,3,4) {3,4}: 3 repeats color 3; appends (0,3,4,2) {2,3,4},
+        #      which {1,2} at 2 does not dominate.
+        #   6. (0,1,2,4) {1,2,4}: 2 repeats color 2; (3, {1,2,3,4}) is
+        #      dominated by {3}.
+        #   7. (0,3,4,2) {2,3,4}: (1, {1,2,3,4}) is dominated by {1}, 4
+        #      repeats color 4; appends (0,3,4,2,5) {1,2,3,4}.
+        #   8. (0,3,4,2,5): 5 is adjacent to 6, which ends the search.
+        g, c = REENTRY
+        search_stats.reset()
+        assert exists_rainbow_path(g, c, 0, 6).vertices == (0, 3, 4, 2, 5, 6)
+        assert (search_stats.calls, search_stats.expansions) == (1, 8)
+
 
 @given(colored_graphs_st())
 @settings(max_examples=200, deadline=None)
