@@ -23,6 +23,7 @@ from .harness import SUITES, run_suite
 from .io import (
     InstanceFormatError,
     _parse_coloring,
+    _parse_k,
     _parse_pairs,
     emit_dot,
     emit_gadget,
@@ -98,7 +99,10 @@ def _field_arg(args, name: str, g: Graph, value):
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise InstanceFormatError(f"expected a file path or inline JSON: {e.msg}") from None
-        value = parse(obj if isinstance(obj, dict) else {name: obj}, g)
+        if not isinstance(obj, dict):
+            obj = {name: obj}
+        _parse_k(obj)  # an object's k is checked as an instance file's is
+        value = parse(obj, g)
         if value is None:
             raise InstanceFormatError(f"--{name} must supply {shape}")
     if value is None:

@@ -81,9 +81,7 @@ def pendant_lift(inst: PendantInstance, c: VertexColoring) -> VertexColoring:
 
     An improper c is refused with the least monochromatic source edge.
     """
-    n = inst.source.n
-    if len(c.colors) != n:
-        raise ValueError(f"coloring has {len(c.colors)} entries, source graph has {n}")
+    check_total_coloring(inst.source, c)
     for u, v in sorted(inst.source.edges):
         if c.colors[u] == c.colors[v]:
             raise ValueError(f"coloring is not proper: edge ({u}, {v}) is monochromatic")
@@ -270,10 +268,7 @@ def lift_coloring(gg: GadgetGraph, c: VertexColoring) -> VertexColoring:
     the lift makes the whole gadget rainbow vertex-connected with the same
     budget gg.k.  Every vertex's color follows from its label alone.
     """
-    if len(c.colors) != gg.source.n:
-        raise ValueError(
-            f"coloring has {len(c.colors)} entries, source graph has {gg.source.n} vertices"
-        )
+    check_total_coloring(gg.source, c)
     if max(c.colors) > gg.k:
         raise ValueError(f"coloring uses color {max(c.colors)}, outside budget {gg.k}")
     return VertexColoring(tuple(_lift_color(lab, gg.k, c) for lab in gg.labels), gg.k)

@@ -1,13 +1,25 @@
-"""Exact decision procedures built on backtracking color assignment.
+"""Exact decision procedures built on one backtracking color assignment.
 
-The subset solver enumerates colorings in a canonical order: vertices are
-assigned by descending degree (ties by index), the first vertex is pinned to
-color 1, and a color new to the partial assignment must be the smallest
-unused index.  Every coloring has exactly one canonical renaming, and rainbow
-connectivity is invariant under renaming, so the restriction loses nothing.
-The same walk, written as a loop so that its depth is not bounded by Python's
-recursion limit, drives ``chromatic_decision`` with a proper-coloring test in
-place of the path constraints.
+Every decision runs on one search, ``_search``, over a list of constraints.
+A constraint is a list of candidate sets of vertices, and a coloring serves
+it when some set holds no color twice.  The rainbow decisions give one
+constraint per requested pair, whose sets are the pair's candidate paths
+below.  ``chromatic_decision`` gives one constraint per edge, whose one set
+is the edge's two ends.  This is Lemma 1's view: every path between the
+pendants of an edge's ends passes through both ends, and the path over the
+edge itself has no other internal vertex, so the pendant pair is served
+exactly when the ends differ, and a proper coloring serves every edge.
+
+The search enumerates colorings in a canonical order: vertices are assigned
+by descending degree (ties by index), the first vertex is pinned to color 1,
+and a color new to the partial assignment must be the smallest unused index.
+Every coloring has exactly one canonical renaming, and whether it serves a
+constraint is invariant under renaming, so the restriction loses nothing.
+The walk is a loop, so its depth is not bounded by Python's recursion limit.
+A vertex on no candidate set never blocks one, so the search assigns only the
+vertices that lie on some set and gives every other vertex color 1, such as
+an isolated vertex under ``chromatic_decision``; the witness is the one the
+search over all vertices would find first, in fewer nodes.
 
 Pruning works off candidate paths.  Under k colors only a path of length at
 most k+1 can be rainbow, and if one internal vertex set is rainbow, so is any
@@ -24,21 +36,19 @@ set is color-blocked when it meets the mask of the color just placed.  A pair
 whose candidate sets are all blocked by the partial assignment can never be
 satisfied, and the branch is abandoned.
 
-Every decision runs on one private core after its public entry point has
-validated the input once.  Only pairs at distance at least 3 constrain a
-coloring: a pair at distance at most 2 has a path with at most one internal
-vertex, rainbow under every coloring.  ``_far_pairs`` finds the far pairs
+Every rainbow decision runs on one private core, ``_decide``, after its
+public entry point has validated the input once.  Only pairs at distance at
+least 3 constrain a coloring: a pair at distance at most 2 has a path with at
+most one internal vertex, rainbow under every coloring.  ``_far_pairs`` finds the far pairs
 with one bitmask 2-ball per vertex, built from the neighbour masks, and runs
 a BFS only from the second endpoint of a far pair, once per endpoint.  Those
 rows answer connectivity, the diameter lower bound where ``rvc_exact`` starts
 its scan, and the exact-distance prune of the path enumeration; a far pair
-beyond k+1 is a no.  A vertex on no candidate set never blocks one, so the
-search assigns only the vertices that lie on some candidate set and gives
-every other vertex color 1; the witness is the one the search over all
-vertices would find first, in fewer nodes.
+beyond k+1 is a no.
 
-Yes-answers are never trusted from search state: the witness coloring is
-re-verified with the independent rainbow checker before it is returned.
+Yes-answers are never trusted from search state: a rainbow witness is
+re-verified with the independent rainbow checker, and a chromatic one edge
+by edge, before it is returned.
 """
 
 from __future__ import annotations
@@ -72,61 +82,6 @@ class SolveResult:
     decision: bool
     witness: VertexColoring | None
     nodes_explored: int
-
-
-def _assignment_order(g: Graph) -> list:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
-def _canonical_search(order: list, k: int, place, undo):
-    """Return the first canonical assignment that place accepts, and the nodes tried.
-
-    ``place(v, col)`` applies an assignment and returns an undo token, or None
-    to reject it; ``undo(v, col, token)`` reverts an accepted one.  Colors are
-    tried in ascending order, and a color new to the branch must be the
-    smallest unused one.  The walk is iterative, so its depth is not bounded
-    by Python's recursion limit.  The assignment is the color per position of
-    ``order``, or None.
-    """
-    n = len(order)
-    chosen: list = []  # color per assigned position
-    tokens: list = []
-    # tops[i]: the largest color position i may take.  A color new to the
-    # branch is the smallest unused one, so the top grows by one past a
-    # position that took its own top.
-    tops = [1]
-    top = 1
-    pos = col = nodes = 0  # col: the last color tried at pos
-    while pos < n:
-        if col < top:
-            col += 1
-            nodes += 1
-            token = place(order[pos], col)
-            if token is not None:
-                chosen.append(col)
-                tokens.append(token)
-                if col == top < k:
-                    top += 1
-                tops.append(top)
-                pos += 1
-                col = 0
-        elif pos == 0:
-            return None, nodes
-        else:
-            tops.pop()
-            pos -= 1
-            top = tops[pos]
-            col = chosen.pop()
-            undo(order[pos], col, tokens.pop())
-    return chosen, nodes
-
-
-def _coloring(n: int, order: list, chosen: list, k: int) -> VertexColoring:
-    """The k-coloring that gives order[i] color chosen[i] and every other vertex color 1."""
-    colors = [1] * n
-    for v, c in zip(order, chosen):
-        colors[v] = c
-    return VertexColoring(tuple(colors), k)
 
 
 def _induced_path_sets(g: Graph, dist: list, a: int, b: int, max_len: int) -> list:
@@ -196,6 +151,84 @@ def _far_pairs(g: Graph, p: PairSet | None) -> list:
     return far
 
 
+def _search(g: Graph, k: int, constraints: list):
+    """The first canonical k-coloring that serves every constraint, and the nodes tried.
+
+    A constraint is a list of candidate sets, vertex bitmasks, and is served
+    when some set holds no color twice.  Only the vertices on some set are
+    searched, by descending degree, ties by index; every other vertex takes
+    color 1.  Colors are tried in ascending order, and a color new to the
+    branch must be the smallest unused one.  The walk is a loop, so its depth
+    is not bounded by Python's recursion limit.  Returns the coloring, or
+    None when no k-coloring serves every constraint.
+    """
+    # blocked flag per candidate set, alive count per constraint, and
+    # vertex -> (constraint, set index, set) for the sets through it.
+    blocked = []
+    alive = [len(sets) for sets in constraints]
+    touching: list = [[] for _ in range(g.n)]
+    for ci, sets in enumerate(constraints):
+        for s in sets:
+            for v in _bits(s):
+                touching[v].append((ci, len(blocked), s))
+            blocked.append(False)
+    order = sorted((v for v in range(g.n) if touching[v]), key=lambda v: (-g.degree(v), v))
+    # masks[col]: the vertices that currently hold color col.  The canonical
+    # search opens at most n colors, so a budget k above n needs no more.
+    masks = [0] * (min(k, g.n) + 1)
+    chosen: list = []  # color per assigned position
+    journals: list = []  # the sets each assigned position blocked
+    # tops[i]: the largest color position i may take.  A color new to the
+    # branch is the smallest unused one, so the top grows by one past a
+    # position that took its own top.
+    tops = [1]
+    top = 1
+    pos = col = nodes = 0  # col: the last color tried at pos
+    while pos < len(order):
+        if col < top:
+            col += 1
+            nodes += 1
+            v = order[pos]
+            taken = masks[col]
+            journal = []
+            for ci, si, s in touching[v]:
+                if blocked[si] or not s & taken:
+                    continue
+                blocked[si] = True
+                alive[ci] -= 1
+                journal.append((ci, si))
+                if not alive[ci]:
+                    break
+            else:
+                masks[col] = taken | 1 << v
+                chosen.append(col)
+                journals.append(journal)
+                if col == top < k:
+                    top += 1
+                tops.append(top)
+                pos += 1
+                col = 0
+                continue
+        elif pos == 0:
+            return None, nodes
+        else:
+            tops.pop()
+            pos -= 1
+            top = tops[pos]
+            col = chosen.pop()
+            masks[col] ^= 1 << order[pos]
+            journal = journals.pop()
+        # Unblock the sets of a placement that killed a constraint, or of
+        # the placement just taken back.
+        for ci, si in journal:
+            blocked[si] = False
+            alive[ci] += 1
+    colors = [1] * g.n
+    for v, c in zip(order, chosen):
+        colors[v] = c
+    return VertexColoring(tuple(colors), k), nodes
+
+
 def _decide(g: Graph, k: int, p: PairSet | None, far: list) -> SolveResult:
     """Decide a validated instance: g connected, k >= 1, p in range or None for all pairs.
 
@@ -209,49 +242,9 @@ def _decide(g: Graph, k: int, p: PairSet | None, far: list) -> SolveResult:
         if dist[a] > k + 1:
             return SolveResult(False, None, 0)
         constraints.append(_induced_path_sets(g, dist, a, b, k + 1))
-
-    # blocked flag per candidate set, alive count per constraint, and
-    # vertex -> (constraint, set index, set) for the sets through it.
-    blocked = []
-    alive = [len(sets) for sets in constraints]
-    touching: list = [[] for _ in range(g.n)]
-    for ci, sets in enumerate(constraints):
-        for s in sets:
-            for v in _bits(s):
-                touching[v].append((ci, len(blocked), s))
-            blocked.append(False)
-    # masks[col]: the vertices that currently hold color col.  The canonical
-    # search opens at most n colors, so a budget k above n needs no more.
-    masks = [0] * (min(k, g.n) + 1)
-
-    def place(v: int, col: int):
-        """Apply the assignment; returns an undo journal or None on a dead pair."""
-        journal = []
-        taken = masks[col]
-        for ci, si, s in touching[v]:
-            if blocked[si] or not s & taken:
-                continue
-            blocked[si] = True
-            alive[ci] -= 1
-            journal.append((ci, si))
-            if alive[ci] == 0:
-                undo(v, col, journal)
-                return None
-        masks[col] = taken | (1 << v)
-        return journal
-
-    def undo(v: int, col: int, journal) -> None:
-        masks[col] &= ~(1 << v)
-        for ci, si in journal:
-            blocked[si] = False
-            alive[ci] += 1
-
-    # A vertex on no candidate set never blocks one, so it keeps color 1.
-    order = [v for v in _assignment_order(g) if touching[v]]
-    chosen, nodes = _canonical_search(order, k, place, undo)
-    if chosen is None:
+    witness, nodes = _search(g, k, constraints)
+    if witness is None:
         return SolveResult(False, None, nodes)
-    witness = _coloring(g.n, order, chosen, k)
     if first_unserved_pair(g, witness, p) is not None:
         raise RuntimeError("solver produced a witness the independent checker rejects")
     return SolveResult(True, witness, nodes)
@@ -302,26 +295,15 @@ def rvc_exact(g: Graph):
 
 
 def chromatic_decision(g: Graph, k: int) -> SolveResult:
-    """Decide whether g has a proper k-coloring, with the same canonical search."""
+    """Decide whether g has a proper k-coloring.
+
+    Each edge is a constraint whose one candidate set is its two ends.
+    """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
-    adj = g.masks
-    masks = [0] * (min(k, g.n) + 1)  # at most n colors are ever opened
-
-    def place(v: int, col: int):
-        if adj[v] & masks[col]:
-            return None
-        masks[col] |= 1 << v
-        return True
-
-    def undo(v: int, col: int, _token) -> None:
-        masks[col] &= ~(1 << v)
-
-    order = _assignment_order(g)
-    chosen, nodes = _canonical_search(order, k, place, undo)
-    if chosen is None:
+    witness, nodes = _search(g, k, [[1 << u | 1 << v] for u, v in sorted(g.edges)])
+    if witness is None:
         return SolveResult(False, None, nodes)
-    witness = _coloring(g.n, order, chosen, k)
     for u, v in g.edges:
         if witness.colors[u] == witness.colors[v]:
             raise RuntimeError("proper-coloring search returned an improper coloring")

@@ -199,6 +199,20 @@ class TestArguments:
         assert run(str(path)) == inline
 
     @pytest.mark.parametrize(
+        "command",
+        [["subset", "-k", "1"], ["verify", "--coloring", "[1, 1, 1]"]],
+        ids=["subset", "verify"],
+    )
+    def test_pairs_file_with_a_malformed_k_exits_two(self, p3_file, tmp_path, command, capsys):
+        # An instance file given as --pairs is checked for k as it is under -i.
+        path = tmp_path / "badk.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]], "pairs": [[0, 2]], "k": "banana"}\n')
+        assert cli_main([command[0], "-i", p3_file, *command[1:], "--pairs", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'k' must be a non-negative integer\n"
+
+    @pytest.mark.parametrize(
         "argv, code",
         [
             (["subset", "-k", "1", "--pairs", "[[0, 2]]"], 1),

@@ -247,6 +247,30 @@ class TestChromaticDecision:
                 for k in (1, 2, 3):
                     assert chromatic_decision(g, k).decision == oracle_chromatic_le(g, k)
 
+    def test_isolated_vertices_are_not_searched(self):
+        # Each edge is a constraint whose one set is its two ends, so a
+        # vertex on no edge takes color 1 without a node: 0 -> 1, 1 -> 1
+        # (blocked), 1 -> 2.
+        res = chromatic_decision(graph_from_edges(3, [(0, 1)]), 2)
+        assert res.decision and res.witness.colors == (1, 2, 1)
+        assert res.nodes_explored == 3
+        res = chromatic_decision(complete_graph(1), 1)
+        assert res.decision and res.witness.colors == (1,)
+        assert res.nodes_explored == 0
+
+    def test_pinned_on_the_small_catalog(self):
+        # Decision, node count and witness for k = 1..3 on every connected
+        # graph with n <= 6 (429 decisions, 2,714 nodes), recorded when the
+        # proper-coloring search became the decision search over one-set edge
+        # constraints: every decision and witness stayed as before, and the
+        # nodes fell by 3, one per decision on K1.
+        digest = hashlib.sha256()
+        for g in connected_graphs(6):
+            for k in (1, 2, 3):
+                r = chromatic_decision(g, k)
+                digest.update(repr((r.decision, r.nodes_explored, r.witness and r.witness.colors)).encode())
+        assert digest.hexdigest() == "b4d12550305000e74e104a589d99906737d3e3ece454e0b2350f5d8147bab6fc"
+
 
 @given(graphs_with_pairs_st(), st.integers(1, 3))
 @settings(max_examples=120, deadline=None)
