@@ -37,8 +37,10 @@ class Graph:
     _masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph must have at least one vertex")
+        # type() rather than isinstance(): bool is an int subclass, and
+        # True would silently build a one-vertex graph.
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"graph order must be an int of at least 1, got {self.n!r}")
         adj = [[] for _ in range(self.n)]
         masks = [0] * self.n
         for e in self.edges:

@@ -28,9 +28,10 @@ colors as its path has edges.  There are two searches:
   source to one target over one FIFO list of (path, color set) states,
   read while it grows.  A FIFO finishes level l, in append order, before
   it starts level l+1, so it expands the same states in the same order as
-  a level-by-level search.  It prunes states by subset dominance and
-  returns the first path that reaches the target: the shortest,
-  lexicographically least rainbow path.
+  a level-by-level search.  It prunes states by subset dominance and tests
+  each state for an edge to the target when it queues it, so it ends at
+  the first path that reaches the target, the shortest, lexicographically
+  least rainbow path, without expanding the states queued ahead of it.
 """
 
 from __future__ import annotations
@@ -141,15 +142,26 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
 
     One FIFO list of states (path, color set) is read while it grows,
     starting from the source's state ((source,), empty set).  Expanding a
-    state first tests whether its last vertex x is adjacent to the target:
-    then the path plus the target is the witness, since an edge adds no
-    internal vertex.  Otherwise it appends (path + (y,), M | bit(y)) for
-    each neighbour y of x, ascending, whose color is not in M.  The list
-    holds every state of level l, in append order, before any state of
-    level l+1, so it expands the states of a level-synchronized BFS in the
-    same order and makes the same decisions: in lexicographic order of
-    their paths, so the first path reaching the target is the shortest one
-    and lexicographically least among the shortest.
+    state (path, M) with last vertex x appends (path + (y,), M | bit(y))
+    for each neighbour y of x, ascending, whose color is not in M.  The
+    list holds every state of level l, in append order, before any state
+    of level l+1, so it expands the states of a level-synchronized BFS in
+    the same order and makes the same decisions: in lexicographic order of
+    their paths, so the first state whose last vertex is adjacent to the
+    target gives the shortest path and the lexicographically least among
+    the shortest (the path plus the target: an edge adds no internal
+    vertex).
+
+    That state is found when it is queued, not when it is popped: the
+    source is tested before the loop, and every state that survives the
+    dominance test just before it is appended.  The FIFO pops states in
+    append order, so the first state queued with an edge to the target is
+    the first one popped with it, and the search appends the same states
+    in the same order up to it.  The witness is
+    the same as a test on pop would give, but the states queued ahead of
+    the winner (the rest of its parent's level and its earlier level-mates)
+    are never expanded.  A search that finds no path expands every state
+    either way.  ``expansions`` counts the states popped and expanded.
 
     A generated state (y, m2) is dropped when some color set m already held
     at y is a subset of m2 (``m & m2 == m``).  Any continuation from (y, m2)
@@ -161,7 +173,9 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     the same length.  Hence every level is the level of the search without
     pruning minus dominated states, in the same order, and the witness is
     unchanged.  The source holds the empty set, which dominates every state
-    that would re-enter it.
+    that would re-enter it.  A dropped state is never tested for an edge to
+    the target: its dominator ends at the same vertex and was queued, and
+    tested, before it.
 
     Every call asserts that the number of expanded states stays within
     path_budget(n, min(k, n)); expanded states are distinct partial paths of
@@ -170,19 +184,19 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
     """
     bit = _color_bits(c)
     budget = path_budget(g.n, min(c.k, g.n))
-    expansions = 0
+    masks = g.masks
     # seen[y] lists the masks accepted at y, in the order they were reached.
     seen = [[] for _ in range(g.n)]
     seen[source].append(0)
     queue = [((source,), 0)]
-    for path, mask in queue:
-        x = path[-1]
+    path = (source, target) if masks[source] >> target & 1 else None
+    # States are expanded in queue order, so the count is the next index.
+    expansions = 0
+    while path is None and expansions < len(queue):
+        prefix, mask = queue[expansions]
         expansions += 1
         _check_budget(expansions, budget)
-        if g.masks[x] >> target & 1:
-            path += (target,)
-            break
-        for y in g.neighbors(x):
+        for y in g.neighbors(prefix[-1]):
             b = bit[y]
             if mask & b:
                 continue
@@ -191,10 +205,11 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
                 if m & m2 == m:
                     break
             else:
+                if masks[y] >> target & 1:
+                    path = prefix + (y, target)
+                    break
                 seen[y].append(m2)
-                queue.append((path + (y,), m2))
-    else:
-        path = None
+                queue.append((prefix + (y,), m2))
 
     search_stats.calls += 1
     search_stats.expansions += expansions

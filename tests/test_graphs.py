@@ -45,6 +45,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             graph_from_edges(0, [])
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None, 0, -1])
+    def test_rejects_an_order_that_is_not_a_positive_int(self, n):
+        # True == 1 built a one-vertex graph whose n is True; 2.0, "3" and
+        # None raised TypeError.
+        with pytest.raises(ValueError, match="graph order"):
+            graph_from_edges(n, [])
+        with pytest.raises(ValueError, match="graph order"):
+            Graph(n, frozenset())
+
     def test_rejects_denormalized_direct_edges(self):
         with pytest.raises(ValueError):
             Graph(3, frozenset({(2, 1)}))

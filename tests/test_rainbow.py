@@ -213,7 +213,8 @@ class TestSearchAccounting:
 
     def test_witness_search_counts_states_exactly(self):
         # REENTRY from 0 to 6, colors 1, 1, 2, 3, 4, 1, 1 on vertices 0..6.
-        # The FIFO expands, in order:
+        # Each state is tested for an edge to 6 when it is queued; the FIFO
+        # expands, in order:
         #   1. (0) {}: appends (0,1) {1} and (0,3) {3}.
         #   2. (0,1) {1}: 0 repeats color 1; appends (0,1,2) {1,2}.
         #   3. (0,3) {3}: (0, {1,3}) is dominated by the source's {};
@@ -225,12 +226,25 @@ class TestSearchAccounting:
         #   6. (0,1,2,4) {1,2,4}: 2 repeats color 2; (3, {1,2,3,4}) is
         #      dominated by {3}.
         #   7. (0,3,4,2) {2,3,4}: (1, {1,2,3,4}) is dominated by {1}, 4
-        #      repeats color 4; appends (0,3,4,2,5) {1,2,3,4}.
-        #   8. (0,3,4,2,5): 5 is adjacent to 6, which ends the search.
+        #      repeats color 4; (0,3,4,2,5) {1,2,3,4} is not dominated,
+        #      and 5 is adjacent to 6, which ends the search.
         g, c = REENTRY
         search_stats.reset()
         assert exists_rainbow_path(g, c, 0, 6).vertices == (0, 3, 4, 2, 5, 6)
-        assert (search_stats.calls, search_stats.expansions) == (1, 8)
+        assert (search_stats.calls, search_stats.expansions) == (1, 7)
+
+    def test_adjacent_endpoints_expand_no_state(self):
+        # The source is tested before the loop: an edge is the witness.
+        search_stats.reset()
+        assert exists_rainbow_path(path_graph(2), coloring([1, 1]), 0, 1).vertices == (0, 1)
+        assert (search_stats.calls, search_stats.expansions) == (1, 0)
+
+    def test_search_with_no_path_expands_every_state(self):
+        # P4 colored 1, 1, 1, 1 from 0 to 3: (0) {} queues (0,1) {1}, whose
+        # neighbours 0 and 2 both repeat color 1.  Two states, no witness.
+        search_stats.reset()
+        assert exists_rainbow_path(path_graph(4), coloring([1, 1, 1, 1]), 0, 3) is None
+        assert (search_stats.calls, search_stats.expansions) == (1, 2)
 
 
 @given(colored_graphs_st())
