@@ -11,6 +11,7 @@ without inspecting stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -217,29 +218,33 @@ def _cmd_claims(args) -> int:
     # More workers than CPUs only adds processes; never start more.
     jobs = min(args.jobs, os.cpu_count() or 1)
     # The -o path is probed before the sweep, so a path that cannot be
-    # opened costs no sweep and prints nothing.  The lines and the JSON are
-    # still streamed, since holding the full report as text would raise the
-    # sweep's peak memory.
+    # opened costs no sweep and prints nothing.  One pass over the sorted
+    # reports writes each stdout line and each JSON row, laid out as
+    # json.dumps(payload, indent=2) would; the rows are streamed, since
+    # holding the full report as text would raise the sweep's peak memory.
     created = _probe(args.out) if args.out else []
     try:
         reports = run_suite(args.suite, jobs=jobs)
-        for r in reports:
-            line = f"{r.status.upper():<5} {r.check:<19} {r.instance}"
-            if r.detail:
-                line += f"  ({r.detail})"
-            print(line)
-        npass = sum(r.status == "pass" for r in reports)
-        nfail = sum(r.status == "fail" for r in reports)
-        nskip = sum(r.status == "skip" for r in reports)
-        print(f"{len(reports)} checks: {npass} pass, {nfail} fail, {nskip} skip")
-        if args.out:
-            payload = [
-                {"check": r.check, "instance": r.instance, "status": r.status, "detail": r.detail}
-                for r in reports
-            ]
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+        counts = {"pass": 0, "fail": 0, "skip": 0}
+        write = sys.stdout.write
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+            sep = "[\n"
+            for r in reports:
+                counts[r.status] += 1
+                line = f"{r.status.upper():<5} {r.check:<19} {r.instance}"
+                write(f"{line}  ({r.detail})\n" if r.detail else f"{line}\n")
+                if fh:
+                    fh.write(
+                        f'{sep}  {{\n    "check": {json.dumps(r.check)},\n'
+                        f'    "instance": {json.dumps(r.instance)},\n'
+                        f'    "status": {json.dumps(r.status)},\n'
+                        f'    "detail": {json.dumps(r.detail)}\n  }}'
+                    )
+                    sep = ",\n"
+            npass, nfail, nskip = counts.values()
+            write(f"{len(reports)} checks: {npass} pass, {nfail} fail, {nskip} skip\n")
+            if fh:
+                fh.write("[]\n" if sep == "[\n" else "\n]\n")
     except BaseException:
         for path in created:
             os.remove(path)

@@ -41,6 +41,7 @@ projecting is a slice, and a check names its instance without being told.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .graphs import (
@@ -105,6 +106,12 @@ def pendant_project(inst: PendantInstance, cprime: VertexColoring) -> VertexColo
 # Level-k gadgets
 
 
+def describe_instance(g: Graph, p: PairSet | None, k: int) -> str:
+    """The text that names the instance (g, p, k) in a check report; p None prints as "-"."""
+    ptxt = "-" if p is None else str(list(p))
+    return f"n={g.n} edges={sorted(g.edges)} P={ptxt} k={k}"
+
+
 @dataclass(frozen=True)
 class GadgetGraph:
     """The level-k gadget of the source instance (source, pairs), one label per vertex.
@@ -133,6 +140,34 @@ class GadgetGraph:
     def base_edges(self) -> frozenset:
         """The base-layer copy of the source graph's edges, in gadget ids."""
         return frozenset(e for e in self.graph.edges if e[0] >= self.base[0])
+
+    # The cached properties below are kept per gadget object, outside the
+    # fields: a corrupted copy made with ``dataclasses.replace`` starts
+    # without them.
+
+    @cached_property
+    def instance(self) -> str:
+        """``describe_instance`` of the source instance, formatted once per gadget."""
+        return describe_instance(self.source, self.pairs, self.k)
+
+    @cached_property
+    def stripped_adjacency(self) -> list:
+        """Neighbour lists of the gadget without its base edges.
+
+        A base copy keeps its neighbours below ``base[0]``, which are the
+        ones outside the base; every other vertex shares its tuple with
+        ``graph``.
+        """
+        adj = list(self.graph.adjacency)
+        s = self.base[0]
+        for x in self.base:
+            adj[x] = [y for y in adj[x] if y < s]
+        return adj
+
+    @cached_property
+    def stripped_rows(self) -> dict:
+        """BFS rows over ``stripped_adjacency`` by source, each filled on first use by a reader."""
+        return {}
 
 
 def nonrequested_pairs(n: int, p: PairSet) -> list:

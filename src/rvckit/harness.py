@@ -7,11 +7,13 @@ instance description.
 
 Each gadget check takes the gadget it inspects, so a corrupted gadget is
 checked like a built one, and its report names the source instance the
-gadget records.  ``CHECKS`` names each check once and maps it to a function
-of the source instance (g, p, k); ``run_check`` looks the name up there.
-``_full_jobs`` lists the (check, g, p, k) jobs of the full sweep, and each
-suite of ``SUITES`` is a filter of that list, so every suite keeps the full
-sweep's order.  ``run_suite`` is the one runner: it passes the jobs of
+gadget records.  A gadget object formats that text once (``gg.instance``),
+and both distance checks of one gadget object read one memo of BFS rows
+over its base-stripped adjacency.  ``CHECKS`` names each check once and
+maps it to a function of the source instance (g, p, k); ``run_check``
+looks the name up there.  ``_full_jobs`` lists the (check, g, p, k) jobs of
+the full sweep, and each suite of ``SUITES`` is a filter of that list, so
+every suite keeps the full sweep's order.  ``run_suite`` is the one runner: it passes the jobs of
 ``suite_jobs`` to ``run_check``.
 
 The corruption helpers exist so the checks themselves stay honest: each check
@@ -29,6 +31,7 @@ from .families import all_pair_sets, connected_graphs, cycle_graph, path_graph
 from .gadgets import (
     GadgetGraph,
     build_gadget,
+    describe_instance,
     label_level,
     lift_coloring,
     nonrequested_pairs,
@@ -61,51 +64,35 @@ class ClaimReport:
     detail: str = ""
 
 
-def describe_instance(g: Graph, p: PairSet | None, k: int) -> str:
-    ptxt = "-" if p is None else str(list(p))
-    return f"n={g.n} edges={sorted(g.edges)} P={ptxt} k={k}"
-
-
 @lru_cache(maxsize=256)
 def _cached_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     return build_gadget(g, p, k)
 
 
-def _stripped_distance(gg: GadgetGraph):
-    """Distances in the gadget once its base edges are removed.
+def _stripped_distance(gg: GadgetGraph, a: int, b: int):
+    """Distance from a to b in the gadget once its base edges are removed.
 
-    Returns ``dist(a, b)``, INFINITY when b is unreachable from a.  The
-    neighbour tuples of the graph are shared, except that each base vertex
-    gets a filtered list without its base neighbours; each source gets one
-    BFS row, computed on first use.
+    INFINITY when b is unreachable from a.  Each source gets one BFS row per
+    gadget object, kept in ``gg.stripped_rows``, so the two distance checks
+    of one gadget share their rows and a corrupted copy gets fresh ones.
     """
-    adj = list(gg.graph.adjacency)
-    s = gg.base[0]
-    for x in gg.base:
-        adj[x] = [y for y in adj[x] if y < s]
-    rows = {}
-
-    def dist(a: int, b: int):
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = adjacency_distances(adj, a)
-        d = row[b]
-        return INFINITY if d is None else d
-
-    return dist
+    rows = gg.stripped_rows
+    row = rows.get(a)
+    if row is None:
+        row = rows[a] = adjacency_distances(gg.stripped_adjacency, a)
+    d = row[b]
+    return INFINITY if d is None else d
 
 
 def _distance_report(gg: GadgetGraph, check: str, pairs, holds, expected: str) -> ClaimReport:
     """Fail on the first pair whose distance without base edges fails ``holds``."""
-    instance = describe_instance(gg.source, gg.pairs, gg.k)
-    dist = _stripped_distance(gg)
     for a, b in pairs:
-        d = dist(a, b)
+        d = _stripped_distance(gg, a, b)
         if not holds(d):
             return ClaimReport(
-                check, instance, "fail", f"pair ({a}, {b}) at distance {d}, expected {expected}"
+                check, gg.instance, "fail", f"pair ({a}, {b}) at distance {d}, expected {expected}"
             )
-    return ClaimReport(check, instance, "pass")
+    return ClaimReport(check, gg.instance, "pass")
 
 
 def check_pair_distances(gg: GadgetGraph) -> ClaimReport:
@@ -123,18 +110,17 @@ def check_nonpair_distances(gg: GadgetGraph) -> ClaimReport:
 
 def check_path_confinement(gg: GadgetGraph) -> ClaimReport:
     """Short paths between requested base pairs never leave the base layer."""
-    instance = describe_instance(gg.source, gg.pairs, gg.k)
     s = gg.base[0]
     for a, b in gg.pairs_k:
         for path in simple_paths(gg.graph, a, b, gg.k + 1):
             if any(v < s for v in path):
                 return ClaimReport(
                     "confinement",
-                    instance,
+                    gg.instance,
                     "fail",
                     f"path {list(path)} between ({a}, {b}) leaves the base layer",
                 )
-    return ClaimReport("confinement", instance, "pass")
+    return ClaimReport("confinement", gg.instance, "pass")
 
 
 def check_lift_validity(gg: GadgetGraph, witness: VertexColoring | None) -> ClaimReport:
@@ -143,15 +129,14 @@ def check_lift_validity(gg: GadgetGraph, witness: VertexColoring | None) -> Clai
     ``witness`` colors the source graph the gadget was built from; None means
     the source instance has no witness at all, and the check is skipped.
     """
-    instance = describe_instance(gg.source, gg.pairs, gg.k)
     if witness is None:
-        return ClaimReport("lift-validity", instance, "skip", "no witness coloring exists")
+        return ClaimReport("lift-validity", gg.instance, "skip", "no witness coloring exists")
     unserved = first_unserved_pair(gg.graph, lift_coloring(gg, witness))
     if unserved is None:
-        return ClaimReport("lift-validity", instance, "pass")
+        return ClaimReport("lift-validity", gg.instance, "pass")
     return ClaimReport(
         "lift-validity",
-        instance,
+        gg.instance,
         "fail",
         f"lifted coloring leaves pair {unserved} without a rainbow path",
     )

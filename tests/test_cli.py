@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -14,7 +15,7 @@ from rvckit.cli import _field_arg, build_parser, cli_main
 from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import coloring, graph_from_edges, pair_set
-from rvckit.harness import ClaimReport
+from rvckit.harness import ClaimReport, run_suite
 from rvckit.io import emit_gadget, emit_instance, parse_gadget, parse_instance
 from test_io import (
     all_hubs_but_one_base,
@@ -492,6 +493,34 @@ class TestClaims:
         assert json.loads(out.read_text()) == [
             {"check": "equivalence", "instance": "n=3", "status": "fail", "detail": "sides disagree"}
         ]
+
+    @pytest.mark.parametrize(
+        "reports",
+        [
+            None,
+            [
+                ClaimReport("equivalence", 'n=3 "P" \\ k', "fail", "caf\u00e9 \u2260 \"cafe\""),
+                ClaimReport("pendant-equivalence", "n=2 \u2205", "pass", ""),
+            ],
+            [],
+        ],
+        ids=["equivalence", "escapes", "empty"],
+    )
+    def test_report_file_is_the_indented_json_of_the_reports(
+        self, reports, monkeypatch, tmp_path, capsys
+    ):
+        # The report is written row by row; its bytes must be those of
+        # json.dumps(payload, indent=2), escapes and the empty list included.
+        if reports is None:
+            reports = run_suite("equivalence")
+        else:
+            monkeypatch.setattr("rvckit.cli.run_suite", lambda name, jobs=1: reports)
+        out = tmp_path / "c.json"
+        code = cli_main(["claims", "--suite", "equivalence", "-o", str(out)])
+        assert code == (1 if any(r.status == "fail" for r in reports) else 0)
+        capsys.readouterr()
+        payload = [dataclasses.asdict(r) for r in reports]
+        assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
     def test_unopenable_out_path_runs_no_sweep(self, monkeypatch, tmp_path, capsys):
         calls = []

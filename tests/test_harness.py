@@ -6,6 +6,7 @@ import pytest
 
 from rvckit import harness
 from rvckit.families import complete_graph, cycle_graph, path_graph
+from rvckit import gadgets
 from rvckit.gadgets import build_gadget, lift_coloring
 from rvckit.graphs import all_vertex_pairs, pair_set
 from rvckit.harness import (
@@ -217,6 +218,50 @@ class TestCorruptions:
         corrupt_unhook(gg)
         corrupt_base_cut(gg)
         assert gg.graph.m == m
+
+
+class TestSharedGadgetWork:
+    def test_distance_checks_share_one_bfs_per_source(self, monkeypatch):
+        sources = []
+        bfs = harness.adjacency_distances
+
+        def counted_bfs(adj, s):
+            sources.append(s)
+            return bfs(adj, s)
+
+        monkeypatch.setattr(harness, "adjacency_distances", counted_bfs)
+        g, p = cycle_graph(4), pair_set([(0, 2)])
+        gg = build_gadget(g, p, 3)
+        assert check_pair_distances(gg).status == "pass"
+        assert check_nonpair_distances(gg).status == "pass"
+        # The pair (0, 2) reads from base copy 0; the non-requested pairs
+        # (0, 1), (0, 3), (1, 2), (1, 3), (2, 3) from copies 0, 1 and 2.
+        # Copy 0 serves both checks, yet gets one row.
+        assert sorted(sources) == list(gg.base[:3])
+        # A corrupted copy is a new object: it gets its own rows, so the
+        # shortcut is seen although gg's rows were already computed.
+        bad = corrupt_shortcut(gg)
+        assert check_pair_distances(bad).status == "fail"
+        assert len(sources) == 4
+        assert check_pair_distances(gg).status == "pass"
+        assert len(sources) == 4
+
+    def test_instance_text_is_formatted_once_per_gadget(self, monkeypatch):
+        calls = []
+        describe = gadgets.describe_instance
+
+        def counted_describe(g, p, k):
+            calls.append((g, p, k))
+            return describe(g, p, k)
+
+        monkeypatch.setattr(gadgets, "describe_instance", counted_describe)
+        gg = small_gadget(2)
+        witness = decide_subset_rvc(P3, P3_PAIR, 2).witness
+        for check in (check_pair_distances, check_nonpair_distances, check_path_confinement):
+            check(gg)
+        check_lift_validity(gg, witness)
+        check_pair_distances(corrupt_shortcut(gg))
+        assert calls == [(P3, P3_PAIR, 2)] * 2
 
 
 class TestSweeps:
