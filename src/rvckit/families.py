@@ -56,13 +56,6 @@ def _atlas_file() -> str:
     return os.path.join(spec.submodule_search_locations[0], "generators", "atlas.dat.gz")
 
 
-def connected_graphs_of_order(n: int) -> list:
-    """Connected graphs on exactly n vertices, one per isomorphism class."""
-    if not 1 <= n <= _ATLAS_LIMIT:
-        raise ValueError(f"atlas enumeration covers 1..{_ATLAS_LIMIT} vertices")
-    return [g for g in connected_graphs(n) if g.n == n]
-
-
 def _atlas_entries(max_n: int) -> Iterator[tuple]:
     """(n, edges) for each atlas graph on 1..max_n vertices, in atlas order.
 

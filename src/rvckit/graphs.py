@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator
 
 INFINITY = math.inf
@@ -60,9 +59,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> tuple:
         return self._adj[v]
 
@@ -75,9 +71,6 @@ class Graph:
     def masks(self) -> tuple:
         """Every vertex's neighbour bitmask: bit y of ``masks[x]`` is set when xy is an edge."""
         return self._masks
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -159,13 +152,6 @@ def pair_set(pairs: Iterable) -> PairSet:
     return PairSet(frozenset(normalize_pair(u, v) for u, v in pairs))
 
 
-EMPTY_PAIRS = PairSet(frozenset())
-
-
-def all_vertex_pairs(g: Graph) -> PairSet:
-    return PairSet(frozenset(combinations(range(g.n), 2)))
-
-
 @dataclass(frozen=True)
 class VertexColoring:
     """A total assignment of colors 1..k to vertices 0..n-1.
@@ -207,13 +193,8 @@ def distance(g: Graph, u: int, v: int):
     """BFS distance between u and v; INFINITY when v is unreachable."""
     g.check_vertex(u)
     g.check_vertex(v)
-    d = distances_from(g, u)[v]
+    d = adjacency_distances(g.adjacency, u)[v]
     return INFINITY if d is None else d
-
-
-def distances_from(g: Graph, s: int) -> list:
-    """BFS distance from s to every vertex; None where unreachable."""
-    return adjacency_distances(g.adjacency, s)
 
 
 def adjacency_distances(adj, s: int) -> list:
@@ -235,11 +216,11 @@ def adjacency_distances(adj, s: int) -> list:
 
 
 def is_connected(g: Graph) -> bool:
-    return None not in distances_from(g, 0)
+    return None not in adjacency_distances(g.adjacency, 0)
 
 
 def diameter(g: Graph) -> int:
-    rows = [distances_from(g, u) for u in range(g.n)]
+    rows = [adjacency_distances(g.adjacency, u) for u in range(g.n)]
     if None in rows[0]:
         raise ValueError("diameter is undefined for a disconnected graph")
     return max(map(max, rows))
@@ -280,7 +261,7 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
     if max_len is None:
         max_len = g.n - 1
 
-    dist = distances_from(g, v)
+    dist = adjacency_distances(g.adjacency, v)
     if dist[u] is None or dist[u] > max_len:
         return
     stack = [(u,)]

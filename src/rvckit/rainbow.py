@@ -120,13 +120,6 @@ class PathWitness:
         return self.vertices[1:-1]
 
 
-def is_rainbow_path(c: VertexColoring, p: PathWitness) -> bool:
-    """True when the internal vertices of p carry pairwise distinct colors."""
-    check_total_coloring(p.graph, c)
-    internal = p.internal_vertices
-    return len({c.colors[v] for v in internal}) == len(internal)
-
-
 def _color_bits(c: VertexColoring) -> list:
     """The bit of each vertex's color in a search's color sets.
 

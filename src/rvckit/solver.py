@@ -172,7 +172,7 @@ def _search(g: Graph, k: int, constraints: list):
             for v in _bits(s):
                 touching[v].append((ci, len(blocked), s))
             blocked.append(False)
-    order = sorted((v for v in range(g.n) if touching[v]), key=lambda v: (-g.degree(v), v))
+    order = sorted((v for v in range(g.n) if touching[v]), key=lambda v: (-len(g.adjacency[v]), v))
     # masks[col]: the vertices that currently hold color col.  The canonical
     # search opens at most n colors, so a budget k above n needs no more.
     masks = [0] * (min(k, g.n) + 1)

@@ -11,7 +11,9 @@ import itertools
 import math
 from functools import lru_cache
 
-from rvckit.graphs import Graph, PairSet, VertexColoring, all_vertex_pairs
+from strategies import all_vertex_pairs
+
+from rvckit.graphs import Graph, PairSet, VertexColoring
 
 
 def oracle_distance(g: Graph, u: int, v: int):

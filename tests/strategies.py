@@ -1,8 +1,21 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and small graph helpers shared by the test modules."""
+
+from itertools import combinations
 
 from hypothesis import strategies as st
 
-from rvckit.graphs import Graph, VertexColoring, all_vertex_pairs, pair_set
+from rvckit.families import connected_graphs
+from rvckit.graphs import Graph, PairSet, VertexColoring, pair_set
+
+
+def all_vertex_pairs(g: Graph) -> PairSet:
+    """Every pair of distinct vertices of g."""
+    return PairSet(frozenset(combinations(range(g.n), 2)))
+
+
+def connected_graphs_of_order(n: int) -> list:
+    """Connected graphs on exactly n vertices, one per isomorphism class."""
+    return [g for g in connected_graphs(n) if g.n == n]
 
 
 @st.composite

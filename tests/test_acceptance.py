@@ -9,8 +9,9 @@ import time
 from itertools import combinations
 
 from oracles import oracle_pair_mask_table
+from strategies import connected_graphs_of_order
 
-from rvckit.families import connected_graphs_of_order, cycle_graph, path_graph
+from rvckit.families import cycle_graph, path_graph
 from rvckit.gadgets import build_gadget, project_coloring
 from rvckit.graphs import diameter, is_complete, pair_set
 from rvckit.harness import (

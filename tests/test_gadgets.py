@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import connected_graphs_st
+from strategies import all_vertex_pairs, connected_graphs_st
 
 from rvckit.families import complete_graph, cycle_graph, path_graph
 from rvckit.gadgets import (
@@ -17,13 +17,7 @@ from rvckit.gadgets import (
     pendant_reduction,
     project_coloring,
 )
-from rvckit.graphs import (
-    all_vertex_pairs,
-    coloring,
-    graph_from_edges,
-    normalize_pair,
-    pair_set,
-)
+from rvckit.graphs import coloring, graph_from_edges, normalize_pair, pair_set
 from rvckit.harness import gadget_sweep_instances
 from rvckit.io import emit_gadget
 from rvckit.rainbow import exists_rainbow_path, is_rainbow_vertex_connected

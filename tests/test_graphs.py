@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_distance, oracle_simple_paths
-from strategies import connected_graphs_st
+from strategies import all_vertex_pairs, connected_graphs_st
 
 from rvckit.graphs import (
-    EMPTY_PAIRS,
     INFINITY,
     Graph,
     VertexColoring,
-    all_vertex_pairs,
     coloring,
     diameter,
     distance,
@@ -73,8 +71,8 @@ class TestConstruction:
     def test_neighbors_sorted(self):
         g = graph_from_edges(4, [(0, 3), (0, 1), (0, 2)])
         assert g.neighbors(0) == (1, 2, 3)
-        assert g.degree(0) == 3
-        assert g.degree(1) == 1
+        assert len(g.adjacency[0]) == 3
+        assert len(g.adjacency[1]) == 1
         assert g.has_edge(3, 0) and not g.has_edge(0, 0)
 
     def test_normalize_pair(self):
@@ -106,7 +104,7 @@ class TestPairSet:
 
     def test_all_vertex_pairs_count(self):
         assert len(all_vertex_pairs(path_graph(5))) == 10
-        assert len(EMPTY_PAIRS) == 0
+        assert len(pair_set([])) == 0
 
 
 class TestColoring:

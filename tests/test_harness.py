@@ -4,11 +4,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from strategies import all_vertex_pairs
+
 from rvckit import harness
 from rvckit.families import complete_graph, cycle_graph, path_graph
 from rvckit import gadgets
 from rvckit.gadgets import build_gadget, lift_coloring
-from rvckit.graphs import all_vertex_pairs, pair_set
+from rvckit.graphs import pair_set
 from rvckit.harness import (
     CHECKS,
     SUITES,

@@ -1,4 +1,6 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, every name
+of ``rvckit.__all__`` resolves once, and the names the package dropped stay
+dropped.
 
 An unused import still has to be kept in step with the name it imports, so
 a rename or a signature change has one more place to miss.  Names listed in
@@ -6,9 +8,13 @@ a module's ``__all__`` count as read: they are imported to be re-exported.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import rvckit
+from rvckit.graphs import Graph
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -45,3 +51,30 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Names the package no longer defines: each was read only by tests or only
+# re-wrapped ``Graph.adjacency``.  (owner, name) pairs; the owner is the
+# module or class that defined the name.
+REMOVED = [
+    ("graphs", "all_vertex_pairs"),
+    ("graphs", "EMPTY_PAIRS"),
+    ("graphs", "distances_from"),
+    ("families", "connected_graphs_of_order"),
+    ("rainbow", "is_rainbow_path"),
+    ("Graph", "vertices"),
+    ("Graph", "degree"),
+]
+
+
+@pytest.mark.parametrize("owner, name", REMOVED, ids=lambda x: x)
+def test_removed_names_stay_gone(owner, name):
+    holder = Graph if owner == "Graph" else importlib.import_module(f"rvckit.{owner}")
+    assert not hasattr(holder, name)
+    assert not hasattr(rvckit, name)
+    assert name not in rvckit.__all__
+
+
+def test_every_exported_name_resolves_once():
+    assert len(rvckit.__all__) == len(set(rvckit.__all__))
+    assert [name for name in rvckit.__all__ if not hasattr(rvckit, name)] == []

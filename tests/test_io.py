@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from strategies import all_vertex_pairs
+
 from rvckit.families import complete_graph, path_graph
 from rvckit.gadgets import build_gadget, lift_coloring
-from rvckit.graphs import EMPTY_PAIRS, all_vertex_pairs, coloring, pair_set
+from rvckit.graphs import coloring, pair_set
 from rvckit.harness import gadget_sweep_instances
 from rvckit.io import (
     InstanceFormatError,
@@ -86,7 +88,7 @@ class TestEmitInstance:
         assert (g2, p2, c2) == (g, p, c)
 
     def test_key_order_and_layout(self):
-        text = emit_instance(path_graph(3), pairs=EMPTY_PAIRS, k=2)
+        text = emit_instance(path_graph(3), pairs=pair_set([]), k=2)
         assert text == '{\n  "n": 3,\n  "edges": [[0, 1], [1, 2]],\n  "pairs": [],\n  "k": 2\n}\n'
 
     def test_absent_keys_stay_absent(self):

@@ -23,7 +23,6 @@ from rvckit.rainbow import (
     _serve_from_all_sources,
     exists_rainbow_path,
     first_unserved_pair,
-    is_rainbow_path,
     is_rainbow_vertex_connected,
     is_subset_rainbow_vc,
     path_budget,
@@ -72,21 +71,25 @@ class TestPathWitness:
 
 
 class TestIsRainbowPath:
+    """Whether one path is rainbow: on P2-P4 the end vertices are joined by
+    one path only, so ``exists_rainbow_path`` returns it exactly when it is
+    rainbow."""
+
     def test_short_paths_are_vacuously_rainbow(self):
-        g = path_graph(3)
-        c = coloring([1, 1, 1])
-        assert is_rainbow_path(c, PathWitness(g, (0, 1)))
-        assert is_rainbow_path(c, PathWitness(g, (0, 1, 2)))
+        w = exists_rainbow_path(path_graph(2), coloring([1, 1]), 0, 1)
+        assert w is not None and w.vertices == (0, 1)
+        w = exists_rainbow_path(path_graph(3), coloring([1, 1, 1]), 0, 2)
+        assert w is not None and w.vertices == (0, 1, 2)
 
     def test_repeated_internal_color_is_rejected(self):
         g = path_graph(4)
-        assert not is_rainbow_path(coloring([1, 2, 2, 1]), PathWitness(g, (0, 1, 2, 3)))
-        assert is_rainbow_path(coloring([1, 2, 1, 1], k=2), PathWitness(g, (0, 1, 2, 3)))
+        assert exists_rainbow_path(g, coloring([1, 2, 2, 1]), 0, 3) is None
+        w = exists_rainbow_path(g, coloring([1, 2, 1, 1], k=2), 0, 3)
+        assert w is not None and w.vertices == (0, 1, 2, 3)
 
     def test_endpoint_colors_do_not_matter(self):
-        g = path_graph(4)
-        c = coloring([2, 2, 1, 1])
-        assert is_rainbow_path(c, PathWitness(g, (0, 1, 2, 3)))
+        w = exists_rainbow_path(path_graph(4), coloring([2, 2, 1, 1]), 0, 3)
+        assert w is not None and w.vertices == (0, 1, 2, 3)
 
 
 class TestExistsRainbowPath:
@@ -267,7 +270,8 @@ def test_witnesses_are_valid_shortest_rainbow_paths(gc):
             if w is None:
                 continue
             assert w.vertices[0] == u and w.vertices[-1] == v
-            assert is_rainbow_path(c, w)
+            inner = [c.colors[x] for x in w.internal_vertices]
+            assert len(set(inner)) == len(inner)
             rainbow_lengths = [
                 len(inner) + 1
                 for inner in oracle_internal_sets(g, u, v)

@@ -13,23 +13,22 @@ from oracles import (
     oracle_simple_paths,
     oracle_subset_yes,
 )
-from strategies import connected_graphs_st, graphs_with_pairs_st
+from strategies import (
+    all_vertex_pairs,
+    connected_graphs_of_order,
+    connected_graphs_st,
+    graphs_with_pairs_st,
+)
 
 from rvckit.families import (
     complete_graph,
     connected_graphs,
-    connected_graphs_of_order,
     cycle_graph,
     path_graph,
     star_graph,
 )
 from rvckit.gadgets import build_gadget
-from rvckit.graphs import (
-    all_vertex_pairs,
-    distances_from,
-    graph_from_edges,
-    pair_set,
-)
+from rvckit.graphs import adjacency_distances, graph_from_edges, pair_set
 from rvckit.rainbow import is_subset_rainbow_vc
 from rvckit.solver import (
     _induced_path_sets,
@@ -321,7 +320,7 @@ def test_candidate_sets_are_the_minimal_internal_sets(g, cap, data):
     far = [(a, b) for a, b in all_vertex_pairs(g) if not g.has_edge(a, b)]
     assume(far)
     a, b = data.draw(st.sampled_from(far))
-    sets = _induced_path_sets(g, distances_from(g, b), a, b, cap)
-    got = [frozenset(v for v in g.vertices() if s >> v & 1) for s in sets]
+    sets = _induced_path_sets(g, adjacency_distances(g.adjacency, b), a, b, cap)
+    got = [frozenset(v for v in range(g.n) if s >> v & 1) for s in sets]
     assert len(got) == len(set(got))
     assert set(got) == _minimal_internal_sets(g, a, b, cap)
