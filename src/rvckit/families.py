@@ -84,8 +84,9 @@ def _atlas_entries(max_n: int) -> Iterator[tuple]:
 
 def connected_graphs(max_n: int) -> list:
     """Connected graphs on 1..max_n vertices, one per isomorphism class."""
-    if max_n > _ATLAS_LIMIT:
-        raise ValueError(f"atlas enumeration covers 1..{_ATLAS_LIMIT} vertices")
+    # type() rather than isinstance(): True would enumerate the one-vertex graphs.
+    if type(max_n) is not int or not 1 <= max_n <= _ATLAS_LIMIT:
+        raise ValueError(f"atlas enumeration covers orders 1..{_ATLAS_LIMIT}, got {max_n!r}")
     graphs = (graph_from_edges(n, edges) for n, edges in _atlas_entries(max_n))
     return [g for g in graphs if is_connected(g)]
 

@@ -48,6 +48,7 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
+    adjacency_distances,
     check_total_coloring,
     graph_from_edges,
     is_connected,
@@ -151,23 +152,20 @@ class GadgetGraph:
         return describe_instance(self.source, self.pairs, self.k)
 
     @cached_property
-    def stripped_adjacency(self) -> list:
-        """Neighbour lists of the gadget without its base edges.
+    def stripped_rows(self) -> list:
+        """BFS rows of the gadget without its base edges, from base copies 0..n-2.
 
-        A base copy keeps its neighbours below ``base[0]``, which are the
-        ones outside the base; every other vertex shares its tuple with
-        ``graph``.
+        ``stripped_rows[i][y]`` is the distance from ``base[i]`` to y, None
+        where unreachable.  A base copy keeps its neighbours below
+        ``base[0]``, the ones outside the base.  Every base pair (i, j),
+        i < j, is requested or not, so the two distance checks read exactly
+        these rows.
         """
         adj = list(self.graph.adjacency)
         s = self.base[0]
         for x in self.base:
             adj[x] = [y for y in adj[x] if y < s]
-        return adj
-
-    @cached_property
-    def stripped_rows(self) -> dict:
-        """BFS rows over ``stripped_adjacency`` by source, each filled on first use by a reader."""
-        return {}
+        return [adjacency_distances(adj, x) for x in self.base[:-1]]
 
 
 def nonrequested_pairs(n: int, p: PairSet) -> list:

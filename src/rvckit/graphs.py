@@ -32,8 +32,10 @@ class Graph:
 
     n: int
     edges: frozenset
-    _adj: tuple = field(init=False, repr=False, compare=False)
-    _masks: tuple = field(init=False, repr=False, compare=False)
+    # adjacency[v]: v's sorted neighbour tuple.  masks[x]: x's neighbour
+    # bitmask, bit y set when xy is an edge.  Both are built once, here.
+    adjacency: tuple = field(init=False, repr=False, compare=False)
+    masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # type() rather than isinstance(): bool is an int subclass, and
@@ -52,25 +54,12 @@ class Graph:
             adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: int) -> tuple:
-        return self._adj[v]
-
-    @property
-    def adjacency(self) -> tuple:
-        """Every vertex's sorted neighbour tuple, ``adjacency[v]``; shared, not copied."""
-        return self._adj
-
-    @property
-    def masks(self) -> tuple:
-        """Every vertex's neighbour bitmask: bit y of ``masks[x]`` is set when xy is an edge."""
-        return self._masks
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -271,6 +260,6 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
         if x == v:
             yield path
             continue
-        for y in reversed(g.neighbors(x)):
+        for y in reversed(g.adjacency[x]):
             if len(path) + dist[y] <= max_len and y not in path:
                 stack.append(path + (y,))

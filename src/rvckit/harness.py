@@ -8,13 +8,14 @@ instance description.
 Each gadget check takes the gadget it inspects, so a corrupted gadget is
 checked like a built one, and its report names the source instance the
 gadget records.  A gadget object formats that text once (``gg.instance``),
-and both distance checks of one gadget object read one memo of BFS rows
-over its base-stripped adjacency.  ``CHECKS`` names each check once and
-maps it to a function of the source instance (g, p, k); ``run_check``
-looks the name up there.  ``_full_jobs`` lists the (check, g, p, k) jobs of
-the full sweep, and each suite of ``SUITES`` is a filter of that list, so
-every suite keeps the full sweep's order.  ``run_suite`` is the one runner: it passes the jobs of
-``suite_jobs`` to ``run_check``.
+and both distance checks of one gadget object read one table,
+``gg.stripped_rows``: the BFS rows of the gadget without its base edges,
+built on first use.  ``CHECKS`` names each check once and maps it to a
+function of the source instance (g, p, k); ``run_check`` looks the name up
+there.  ``_full_jobs`` lists the (check, g, p, k) jobs of the full sweep,
+and each suite of ``SUITES`` is a filter of that list, so every suite keeps
+the full sweep's order.  ``run_suite`` is the one runner: it passes the jobs
+of ``suite_jobs`` to ``run_check``.
 
 The corruption helpers exist so the checks themselves stay honest: each check
 must fail when the gadget it inspects is broken in a targeted way, otherwise
@@ -43,7 +44,6 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
-    adjacency_distances,
     graph_from_edges,
     normalize_pair,
     pair_set,
@@ -69,25 +69,16 @@ def _cached_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     return build_gadget(g, p, k)
 
 
-def _stripped_distance(gg: GadgetGraph, a: int, b: int):
-    """Distance from a to b in the gadget once its base edges are removed.
-
-    INFINITY when b is unreachable from a.  Each source gets one BFS row per
-    gadget object, kept in ``gg.stripped_rows``, so the two distance checks
-    of one gadget share their rows and a corrupted copy gets fresh ones.
-    """
-    rows = gg.stripped_rows
-    row = rows.get(a)
-    if row is None:
-        row = rows[a] = adjacency_distances(gg.stripped_adjacency, a)
-    d = row[b]
-    return INFINITY if d is None else d
-
-
 def _distance_report(gg: GadgetGraph, check: str, pairs, holds, expected: str) -> ClaimReport:
-    """Fail on the first pair whose distance without base edges fails ``holds``."""
+    """Fail on the first base pair whose distance without base edges fails ``holds``.
+
+    The distances are read off ``gg.stripped_rows``, which one gadget object
+    computes once for both distance checks; INFINITY where b is unreachable.
+    """
+    s = gg.base[0]
     for a, b in pairs:
-        d = _stripped_distance(gg, a, b)
+        d = gg.stripped_rows[a - s][b]
+        d = INFINITY if d is None else d
         if not holds(d):
             return ClaimReport(
                 check, gg.instance, "fail", f"pair ({a}, {b}) at distance {d}, expected {expected}"
@@ -216,7 +207,7 @@ def corrupt_unhook(gg: GadgetGraph) -> GadgetGraph | None:
         level = label_level(gg.labels[x], gg.k)
         drop += [
             (x, y)
-            for y in gg.graph.neighbors(x)
+            for y in gg.graph.adjacency[x]
             if label_level(gg.labels[y], gg.k) > level
         ]
     return replace(gg, graph=remove_edges(gg.graph, drop))

@@ -77,10 +77,12 @@ def path_budget(n: int, k: int) -> int:
     declared far above the colors in use costs one power, not k+1 of them.
     Python integers are exact at any size, so it never overflows.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if k < 0:
-        raise ValueError("k must be at least 0")
+    # type() rather than isinstance(): bool is an int subclass, and a float
+    # would give a float budget.
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int of at least 0, got {k!r}")
     if n == 1:
         return k + 1
     return (n ** (k + 1) - 1) // (n - 1)
@@ -110,14 +112,6 @@ class PathWitness:
         for a, b in zip(vs, vs[1:]):
             if not self.graph.has_edge(a, b):
                 raise ValueError(f"not a path: ({a}, {b}) is not an edge")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def internal_vertices(self) -> tuple:
-        return self.vertices[1:-1]
 
 
 def _color_bits(c: VertexColoring) -> list:
@@ -189,7 +183,7 @@ def _rainbow_search(g: Graph, c: VertexColoring, source: int, target: int):
         prefix, mask = queue[expansions]
         expansions += 1
         _check_budget(expansions, budget)
-        for y in g.neighbors(prefix[-1]):
+        for y in g.adjacency[prefix[-1]]:
             b = bit[y]
             if mask & b:
                 continue

@@ -30,11 +30,13 @@ one at an endpoint, has a shortcut: shorter, so still within the cap, and
 with a strictly smaller internal set.  On an induced path's vertex set the
 graph is that path alone, so no other path's internal set lies inside it, and
 no two induced paths share one.  The solver therefore enumerates induced paths
-directly, with no minimality filter.  Each candidate set is a vertex bitmask,
-and the search keeps one bitmask per color of the vertices holding it, so a
-set is color-blocked when it meets the mask of the color just placed.  A pair
-whose candidate sets are all blocked by the partial assignment can never be
-satisfied, and the branch is abandoned.
+directly, with no minimality filter.  Each candidate set is a pair
+``(mask, vertices)``: its vertex bitmask and the tuple of the same vertices,
+both made by the walk that found the set.  The search reads the tuple once,
+to list the sets through each vertex, and keeps one bitmask per color of the
+vertices holding it, so a set is color-blocked when it meets the mask of the
+color just placed.  A pair whose candidate sets are all blocked by the
+partial assignment can never be satisfied, and the branch is abandoned.
 
 Every rainbow decision runs on one private core, ``_decide``, after its
 public entry point has validated the input once.  Only pairs at distance at
@@ -85,39 +87,32 @@ class SolveResult:
 
 
 def _induced_path_sets(g: Graph, dist: list, a: int, b: int, max_len: int) -> list:
-    """Internal-vertex bitmasks of the induced a-b paths with at most max_len edges.
+    """Candidate sets ``(mask, vertices)`` of the induced a-b paths of at most max_len edges.
 
-    The walk reads the neighbour bitmasks ``g.masks`` and carries ``banned``,
-    the closed neighbourhoods of every path vertex but the last, and extends
-    only outside it, so no path gets a chord.  Once the last vertex touches
-    b, the path must end there.  Partial paths that cannot reach b within the
-    budget are cut using ``dist``, the exact distances to b, which
-    ``_far_pairs`` has checked hold no ``None``.
+    ``vertices`` are a path's internal vertices in path order, from a's
+    neighbour to b's, and ``mask`` is their bitmask.  The walk reads the
+    neighbour bitmasks ``g.masks`` and carries ``banned``, the closed
+    neighbourhoods of every path vertex but the last, and extends only
+    outside it, so no path gets a chord.  Once the last vertex touches b,
+    the path must end there.  A partial path has used one edge per internal
+    vertex; those that cannot reach b within the budget are cut using
+    ``dist``, the exact distances to b, which ``_far_pairs`` has checked
+    hold no ``None``.
     """
-    adj = g.masks
+    masks = g.masks
     out = []
     bit_b = 1 << b
-    stack = [(a, 0, 0, 0)]  # (last vertex, banned, internal set, edges used)
+    stack = [(a, 0, 0, ())]  # (last vertex, banned, internal set, internal vertices)
     while stack:
-        here, banned, inner, used = stack.pop()
-        if adj[here] & bit_b:
-            out.append(inner)
+        here, banned, inner, verts = stack.pop()
+        if masks[here] & bit_b:
+            out.append((inner, verts))
             continue
-        reach = used + 1
-        banned_next = banned | adj[here] | (1 << here)
-        for y in g.neighbors(here):
+        reach = len(verts) + 1
+        banned_next = banned | masks[here] | (1 << here)
+        for y in g.adjacency[here]:
             if reach + dist[y] <= max_len and not banned >> y & 1:
-                stack.append((y, banned_next, inner | (1 << y), reach))
-    return out
-
-
-def _bits(mask: int) -> list:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+                stack.append((y, banned_next, inner | (1 << y), verts + (y,)))
     return out
 
 
@@ -154,22 +149,23 @@ def _far_pairs(g: Graph, p: PairSet | None) -> list:
 def _search(g: Graph, k: int, constraints: list):
     """The first canonical k-coloring that serves every constraint, and the nodes tried.
 
-    A constraint is a list of candidate sets, vertex bitmasks, and is served
-    when some set holds no color twice.  Only the vertices on some set are
-    searched, by descending degree, ties by index; every other vertex takes
-    color 1.  Colors are tried in ascending order, and a color new to the
-    branch must be the smallest unused one.  The walk is a loop, so its depth
-    is not bounded by Python's recursion limit.  Returns the coloring, or
-    None when no k-coloring serves every constraint.
+    A constraint is a list of candidate sets ``(mask, vertices)``, a vertex
+    bitmask and the tuple of its vertices, and is served when some set holds
+    no color twice.  Only the vertices on some set are searched, by
+    descending degree, ties by index; every other vertex takes color 1.
+    Colors are tried in ascending order, and a color new to the branch must
+    be the smallest unused one.  The walk is a loop, so its depth is not
+    bounded by Python's recursion limit.  Returns the coloring, or None when
+    no k-coloring serves every constraint.
     """
     # blocked flag per candidate set, alive count per constraint, and
-    # vertex -> (constraint, set index, set) for the sets through it.
+    # vertex -> (constraint, set index, set mask) for the sets through it.
     blocked = []
     alive = [len(sets) for sets in constraints]
     touching: list = [[] for _ in range(g.n)]
     for ci, sets in enumerate(constraints):
-        for s in sets:
-            for v in _bits(s):
+        for s, verts in sets:
+            for v in verts:
                 touching[v].append((ci, len(blocked), s))
             blocked.append(False)
     order = sorted((v for v in range(g.n) if touching[v]), key=lambda v: (-len(g.adjacency[v]), v))
@@ -301,7 +297,7 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
-    witness, nodes = _search(g, k, [[1 << u | 1 << v] for u, v in sorted(g.edges)])
+    witness, nodes = _search(g, k, [[(1 << u | 1 << v, (u, v))] for u, v in sorted(g.edges)])
     if witness is None:
         return SolveResult(False, None, nodes)
     for u, v in g.edges:

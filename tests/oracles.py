@@ -44,7 +44,7 @@ def oracle_simple_paths(g: Graph, u: int, v: int) -> tuple:
         if here == v:
             out.append(tuple(path))
             return
-        for y in g.neighbors(here):
+        for y in g.adjacency[here]:
             if y not in seen:
                 path.append(y)
                 seen.add(y)

@@ -66,10 +66,11 @@ class TestEnumerations:
         assert len({g.edges for g in gs}) == len(gs)
 
     def test_rejects_out_of_range_order(self):
-        # The atlas's null graph is skipped, and the atlas ends at seven vertices.
-        assert connected_graphs_of_order(0) == []
-        with pytest.raises(ValueError):
-            connected_graphs_of_order(8)
+        # The atlas runs from one to seven vertices, and an order is an int:
+        # a float or a bool is refused, not compared.
+        for max_n in (0, -1, 8, 3.5, True):
+            with pytest.raises(ValueError):
+                connected_graphs(max_n)
 
     @pytest.mark.parametrize("max_n", range(1, 8))
     def test_matches_the_networkx_atlas(self, max_n):

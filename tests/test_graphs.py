@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -70,10 +71,23 @@ class TestConstruction:
 
     def test_neighbors_sorted(self):
         g = graph_from_edges(4, [(0, 3), (0, 1), (0, 2)])
-        assert g.neighbors(0) == (1, 2, 3)
+        assert g.adjacency[0] == (1, 2, 3)
         assert len(g.adjacency[0]) == 3
         assert len(g.adjacency[1]) == 1
         assert g.has_edge(3, 0) and not g.has_edge(0, 0)
+
+    def test_tables_are_frozen_fields_outside_equality(self):
+        # The neighbour tables are fields built once by the constructor:
+        # they cannot be reassigned, and equality and hashing read only n
+        # and the edges, so edge order does not matter.
+        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(FrozenInstanceError):
+            g.adjacency = ()
+        with pytest.raises(FrozenInstanceError):
+            g.masks = ()
+        h = graph_from_edges(4, [(3, 0), (3, 2), (2, 1), (1, 0)])
+        assert g == h and hash(g) == hash(h)
+        assert g.adjacency == h.adjacency and g.masks == h.masks
 
     def test_normalize_pair(self):
         assert normalize_pair(3, 1) == (1, 3)

@@ -15,6 +15,7 @@ import pytest
 
 import rvckit
 from rvckit.graphs import Graph
+from rvckit.rainbow import PathWitness
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -64,12 +65,16 @@ REMOVED = [
     ("rainbow", "is_rainbow_path"),
     ("Graph", "vertices"),
     ("Graph", "degree"),
+    ("Graph", "neighbors"),
+    ("PathWitness", "length"),
+    ("PathWitness", "internal_vertices"),
 ]
 
 
 @pytest.mark.parametrize("owner, name", REMOVED, ids=lambda x: x)
 def test_removed_names_stay_gone(owner, name):
-    holder = Graph if owner == "Graph" else importlib.import_module(f"rvckit.{owner}")
+    classes = {"Graph": Graph, "PathWitness": PathWitness}
+    holder = classes[owner] if owner in classes else importlib.import_module(f"rvckit.{owner}")
     assert not hasattr(holder, name)
     assert not hasattr(rvckit, name)
     assert name not in rvckit.__all__

@@ -44,17 +44,18 @@ class TestPathBudget:
         assert path_budget(7, 300) == sum(7**i for i in range(301))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            path_budget(0, 2)
-        with pytest.raises(ValueError):
-            path_budget(3, -1)
+        # Out of range, or not an int: a bool or a float is refused, not
+        # counted with.
+        for n, k in ((0, 2), (3, -1), (True, 2), (2.5, 1), (3, 1.5), (3, False)):
+            with pytest.raises(ValueError):
+                path_budget(n, k)
 
 
 class TestPathWitness:
     def test_accepts_real_path(self):
         w = PathWitness(path_graph(4), (0, 1, 2, 3))
-        assert w.length == 3
-        assert w.internal_vertices == (1, 2)
+        assert len(w.vertices) - 1 == 3
+        assert w.vertices[1:-1] == (1, 2)
 
     def test_rejects_non_edges(self):
         with pytest.raises(ValueError):
@@ -270,14 +271,14 @@ def test_witnesses_are_valid_shortest_rainbow_paths(gc):
             if w is None:
                 continue
             assert w.vertices[0] == u and w.vertices[-1] == v
-            inner = [c.colors[x] for x in w.internal_vertices]
+            inner = [c.colors[x] for x in w.vertices[1:-1]]
             assert len(set(inner)) == len(inner)
             rainbow_lengths = [
                 len(inner) + 1
                 for inner in oracle_internal_sets(g, u, v)
                 if len({c.colors[x] for x in inner}) == len(inner)
             ]
-            assert w.length == min(rainbow_lengths)
+            assert len(w.vertices) - 1 == min(rainbow_lengths)
 
 
 @given(colored_graphs_st(max_k=3))

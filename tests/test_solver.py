@@ -321,6 +321,12 @@ def test_candidate_sets_are_the_minimal_internal_sets(g, cap, data):
     assume(far)
     a, b = data.draw(st.sampled_from(far))
     sets = _induced_path_sets(g, adjacency_distances(g.adjacency, b), a, b, cap)
-    got = [frozenset(v for v in range(g.n) if s >> v & 1) for s in sets]
+    got = [frozenset(v for v in range(g.n) if s >> v & 1) for s, _ in sets]
     assert len(got) == len(set(got))
     assert set(got) == _minimal_internal_sets(g, a, b, cap)
+    # Each set's vertex tuple holds exactly its mask's bits, in path order
+    # from a's neighbour to b's.
+    for (_, verts), inner in zip(sets, got):
+        assert len(verts) == len(inner) and set(verts) == inner
+        path = (a, *verts, b)
+        assert all(g.has_edge(x, y) for x, y in zip(path, path[1:]))
