@@ -6,6 +6,18 @@ Exit codes are uniform across subcommands: 0 for success or a yes decision,
 A decision exits 0 on yes and 1 on no; decision subcommands take
 --expect-no to flip that, so shell scripts can assert either polarity
 without inspecting stdout.
+
+Every command writes its outputs inside one block, ``_output_files``: each
+output path is opened for append before anything is written, which leaves
+an existing file as it is, so a path that cannot be opened stops the command before it prints
+anything, and if the command then fails, the files it created are removed
+again while a file that existed before stays.  ``claims`` streams its report
+inside that block; every other command writes through ``_write_outputs``.
+``solve``, ``decide`` and ``subset`` have one answer writer,
+``_write_answer``: the answer line (``rvc = K`` or ``yes``), then
+``coloring = ...``, and with -o the instance with the witness coloring, or
+with ``"k": 0`` when no coloring is needed, so ``decide -k 0 -o`` on a
+complete graph writes the file ``solve -o`` writes.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import sys
 import traceback
 
 from .gadgets import build_gadget, lift_coloring, pendant_reduction, project_coloring
-from .graphs import Graph, PairSet, VertexColoring
+from .graphs import Graph, PairSet
 from .harness import SUITES, run_suite
 from .io import (
     InstanceFormatError,
@@ -42,11 +54,12 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _probe(*paths) -> list:
-    """Open each path for append, which changes no file; returns the files it created.
+@contextlib.contextmanager
+def _output_files(*paths):
+    """Open each path for append, which leaves an existing file as it is, then run the block.
 
-    A path that cannot be opened raises, and the files created before it
-    are removed again.
+    If a path cannot be opened or the block raises, the files this created
+    are removed again; a file that existed before is left in place.
     """
     created = []
     try:
@@ -55,26 +68,27 @@ def _probe(*paths) -> list:
             open(path, "a", encoding="utf-8").close()
             if new:
                 created.append(path)
-    except OSError:
+        yield
+    except BaseException:
         for path in created:
             os.remove(path)
         raise
-    return created
 
 
 def _write_outputs(*outputs) -> None:
     """Write each (text, path) in order, to stdout where path is None.
 
     Every path is probed first, so a path that cannot be opened stops the
-    call before anything is written.
+    call before anything is written, and a failed write removes the files
+    the probe created.
     """
-    _probe(*(path for _, path in outputs if path is not None))
-    for text, path in outputs:
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    with _output_files(*(path for _, path in outputs if path is not None)):
+        for text, path in outputs:
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
 
 
 # Each field a user may give as an argument: its parser, the shape the
@@ -111,10 +125,18 @@ def _field_arg(args, name: str, g: Graph, value):
     return value
 
 
-def _coloring_line(witness: VertexColoring | None) -> str:
-    if witness is None:
-        return "coloring = none"
-    return f"coloring = {list(witness.colors)}"
+def _write_answer(answer: str, args, g: Graph, witness, pairs: PairSet | None = None) -> None:
+    """Print the answer line and the coloring; with -o, also write the instance there.
+
+    The file carries the witness, or ``"k": 0`` when there is none, which
+    only a complete graph's rvc = 0 has.
+    """
+    colors = "none" if witness is None else list(witness.colors)
+    outputs = [(f"{answer}\ncoloring = {colors}\n", None)]
+    if args.out:
+        # Without a witness the file records k = 0; with one, k is the coloring's.
+        outputs.append((emit_instance(g, pairs, witness, 0 if witness is None else None), args.out))
+    _write_outputs(*outputs)
 
 
 def _decision_exit(decision: bool, args) -> int:
@@ -122,12 +144,9 @@ def _decision_exit(decision: bool, args) -> int:
 
 
 def _report_decision(result, args, g: Graph, pairs: PairSet | None = None) -> int:
-    """Print yes and the witness, or no; write the witness instance to -o on a yes."""
+    """Print yes and the witness, or no; -o is written on a yes only."""
     if result.decision:
-        outputs = [(f"yes\n{_coloring_line(result.witness)}\n", None)]
-        if args.out and result.witness is not None:
-            outputs.append((emit_instance(g, pairs=pairs, coloring=result.witness), args.out))
-        _write_outputs(*outputs)
+        _write_answer("yes", args, g, result.witness, pairs)
     else:
         print("no")
     return _decision_exit(result.decision, args)
@@ -140,13 +159,7 @@ def _report_decision(result, args, g: Graph, pairs: PairSet | None = None) -> in
 def _cmd_solve(args) -> int:
     g, _, _ = parse_instance(_read_file(args.input))
     k, witness = rvc_exact(g)
-    outputs = [(f"rvc = {k}\n{_coloring_line(witness)}\n", None)]
-    if args.out:
-        if witness is not None:
-            outputs.append((emit_instance(g, coloring=witness), args.out))
-        else:
-            outputs.append((emit_instance(g, k=0), args.out))
-    _write_outputs(*outputs)
+    _write_answer(f"rvc = {k}", args, g, witness)
     return 0
 
 
@@ -222,8 +235,7 @@ def _cmd_claims(args) -> int:
     # reports writes each stdout line and each JSON row, laid out as
     # json.dumps(payload, indent=2) would; the rows are streamed, since
     # holding the full report as text would raise the sweep's peak memory.
-    created = _probe(args.out) if args.out else []
-    try:
+    with _output_files(*([args.out] if args.out else [])):
         reports = run_suite(args.suite, jobs=jobs)
         counts = {"pass": 0, "fail": 0, "skip": 0}
         write = sys.stdout.write
@@ -245,10 +257,6 @@ def _cmd_claims(args) -> int:
             write(f"{len(reports)} checks: {npass} pass, {nfail} fail, {nskip} skip\n")
             if fh:
                 fh.write("[]\n" if sep == "[\n" else "\n]\n")
-    except BaseException:
-        for path in created:
-            os.remove(path)
-        raise
     return 1 if nfail else 0
 
 
@@ -256,14 +264,20 @@ def _cmd_claims(args) -> int:
 # Parser
 
 
-def _add_io_flags(p, pairs=False, coloring=False, out=True, dot=False):
+# The -o help of the commands whose file is their output, and of solve and
+# decide, which print their answer and also write a file (subset's is inline).
+_RESULT_FILE = "write the result file here instead of stdout"
+_WITNESS_FILE = "also write the instance with its witness coloring here (k = 0 if none is needed)"
+
+
+def _add_io_flags(p, pairs=False, coloring=False, out=_RESULT_FILE, dot=False):
     p.add_argument("-i", "--input", required=True, help="instance file (JSON)")
     if pairs:
         p.add_argument("--pairs", help="requested pairs: file path or inline JSON")
     if coloring:
         p.add_argument("--coloring", help="vertex coloring: file path or inline JSON")
     if out:
-        p.add_argument("-o", "--out", help="write the result file here instead of stdout")
+        p.add_argument("-o", "--out", help=out)
     if dot:
         p.add_argument("--dot", help="also write a Graphviz DOT rendering here")
 
@@ -282,23 +296,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute the exact rainbow vertex-connection number")
-    _add_io_flags(p)
+    _add_io_flags(p, out=_WITNESS_FILE)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("decide", help="decide whether k colors rainbow-connect all pairs")
-    _add_io_flags(p)
+    _add_io_flags(p, out="on a yes, " + _WITNESS_FILE)
     p.add_argument("-k", type=int, required=True, help="color budget")
     _add_expect_flag(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("subset", help="decide the requested-pairs variant under k colors")
-    _add_io_flags(p, pairs=True)
+    _add_io_flags(p, pairs=True, out="on a yes, also write the instance with its witness here")
     p.add_argument("-k", type=int, required=True, help="color budget")
     _add_expect_flag(p)
     p.set_defaults(func=_cmd_subset)
 
     p = sub.add_parser("verify", help="check a given coloring against all or requested pairs")
-    _add_io_flags(p, pairs=True, coloring=True, out=False)
+    _add_io_flags(p, pairs=True, coloring=True, out=None)
     _add_expect_flag(p)
     p.set_defaults(func=_cmd_verify)
 

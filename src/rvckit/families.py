@@ -23,22 +23,33 @@ from typing import Iterator
 from .graphs import Graph, PairSet, graph_from_edges, is_connected, pair_set
 
 
+def _check_int(name: str, x) -> None:
+    # type() rather than isinstance(): True is an int, and star_graph(True)
+    # would build K2.
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 def path_graph(n: int) -> Graph:
+    _check_int("order", n)
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_int("order", n)
     if n < 3:
         raise ValueError("a cycle needs at least three vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_int("order", n)
     return graph_from_edges(n, combinations(range(n), 2))
 
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the hub at vertex 0."""
+    _check_int("leaf count", leaves)
     return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

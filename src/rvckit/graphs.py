@@ -15,7 +15,11 @@ INFINITY = math.inf
 
 
 def normalize_pair(u: int, v: int) -> tuple[int, int]:
-    """Order an unordered pair; rejects the diagonal."""
+    """Order an unordered pair; rejects the diagonal and ids that are not ints."""
+    # type() rather than isinstance(): bool is an int subclass, and True
+    # would silently alias vertex 1.
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"pair ({u!r}, {v!r}) has a vertex id that is not an int")
     if u == v:
         raise ValueError(f"pair ({u}, {v}) repeats a vertex")
     return (u, v) if u < v else (v, u)
@@ -241,7 +245,8 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
     distance from y to v stay within max_len, which prunes nothing that
     could still complete.  Every vertex in u's component has a distance to
     v once u has one, and u != v puts that distance at 1 or more, so a
-    max_len below 1 yields nothing.
+    max_len below 1 yields nothing.  max_len is None for no bound beyond
+    n - 1, or an int; type() rather than isinstance(), so True is refused.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -249,6 +254,8 @@ def simple_paths(g: Graph, u: int, v: int, max_len: int | None = None) -> Iterat
         raise ValueError("path endpoints must differ")
     if max_len is None:
         max_len = g.n - 1
+    elif type(max_len) is not int:
+        raise ValueError(f"max_len must be an int or None, got {max_len!r}")
 
     dist = adjacency_distances(g.adjacency, v)
     if dist[u] is None or dist[u] > max_len:

@@ -140,8 +140,8 @@ def check_reduction_equivalence(g: Graph, p: PairSet, k: int) -> ClaimReport:
     On a yes the gadget witness must project back to a coloring that serves
     (g, p).
     """
-    instance = describe_instance(g, p, k)
     gg = _cached_gadget(g, p, k)
+    instance = gg.instance
     lhs = decide_subset_rvc(g, p, k)
     rhs = decide_rvc_le_k(gg.graph, k)
     if lhs.decision != rhs.decision:
@@ -161,7 +161,12 @@ def check_reduction_equivalence(g: Graph, p: PairSet, k: int) -> ClaimReport:
 
 
 def check_pendant_equivalence(g: Graph, k: int) -> ClaimReport:
-    """Proper k-colorability matches the pendant subset instance, k >= 3."""
+    """Proper k-colorability matches the pendant subset instance, k >= 3.
+
+    On a yes the subset witness, restricted to g (the slice
+    ``pendant_project`` returns), must give every edge of g two colors:
+    Lemma 1's direction from a pendant witness to a proper coloring.
+    """
     if k < 3:
         raise ValueError("pendant equivalence holds for k >= 3")
     instance = describe_instance(g, None, k)
@@ -175,6 +180,16 @@ def check_pendant_equivalence(g: Graph, k: int) -> ClaimReport:
             "fail",
             f"chromatic decision {lhs.decision} but subset decision {rhs.decision}",
         )
+    if rhs.decision:
+        colors = rhs.witness.colors[: g.n]
+        for u, v in sorted(g.edges):
+            if colors[u] == colors[v]:
+                return ClaimReport(
+                    "pendant-equivalence",
+                    instance,
+                    "fail",
+                    f"subset witness restricted to the source gives edge ({u}, {v}) one color",
+                )
     return ClaimReport("pendant-equivalence", instance, "pass")
 
 
@@ -323,6 +338,9 @@ def run_suite(name: str, jobs: int = 1) -> list:
     ``run_check`` up in this module on every job, so a wrapper installed on
     the module attribute sees each check.
     """
+    # type() rather than isinstance(): True would run serially as 1.
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     work = suite_jobs(name)
     if jobs > 1:
         from multiprocessing import Pool

@@ -428,6 +428,55 @@ def test_unopenable_dot_path_leaves_an_existing_out_file(p3_file, tmp_path, caps
     assert out.read_text() == "old\n"
 
 
+def test_decide_at_zero_writes_the_file_solve_writes(tmp_path, capsys):
+    # rvc = 0 holds exactly for complete graphs, and both commands say so in one file.
+    k3 = tmp_path / "k3.json"
+    k3.write_text('{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}\n')
+    decided, solved = tmp_path / "d.json", tmp_path / "s.json"
+    assert cli_main(["decide", "-i", str(k3), "-k", "0", "-o", str(decided)]) == 0
+    assert capsys.readouterr().out == "yes\ncoloring = none\n"
+    assert cli_main(["solve", "-i", str(k3), "-o", str(solved)]) == 0
+    assert capsys.readouterr().out == "rvc = 0\ncoloring = none\n"
+    assert decided.read_bytes() == solved.read_bytes()
+
+
+class _BrokenStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["solve", "-i", "{p5}", "-o", "{path}"], "new.json"),
+        (["decide", "-i", "{p5}", "-k", "3", "-o", "{path}"], "new.json"),
+        (["gadget", "-i", "{p3}", "-k", "3", "--dot", "{path}"], "g.dot"),
+    ],
+    ids=["solve", "decide", "gadget"],
+)
+def test_failed_stdout_removes_only_the_files_it_created(
+    argv, name, existed, p5_file, p3_file, tmp_path, monkeypatch, capsys
+):
+    # Each command writes stdout first; when that write fails, an output
+    # file its probe made is removed, and one that was there stays as it was.
+    path = tmp_path / name
+    if existed:
+        path.write_text("old\n")
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    argv = [a.format(p5=p5_file, p3=p3_file, path=path) for a in argv]
+    assert cli_main(argv) == 2
+    assert "Broken pipe" in capsys.readouterr().err
+    assert path.exists() == existed
+    if existed:
+        assert path.read_text() == "old\n"
+
+
 class TestClaims:
     def test_equivalence_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "reports.json"

@@ -39,6 +39,16 @@ class TestNamedFamilies:
         assert g.n == 6
         assert all(e[0] == 0 for e in g.edges)
 
+    @pytest.mark.parametrize(
+        "build, size",
+        [(path_graph, 2.5), (cycle_graph, 3.0), (complete_graph, 2.5), (star_graph, True)],
+        ids=["path", "cycle", "complete", "star"],
+    )
+    def test_rejects_a_size_that_is_not_an_int(self, build, size):
+        # A float would reach range() as a TypeError; True would build K2 as a star.
+        with pytest.raises(ValueError, match="must be an int"):
+            build(size)
+
 
 class TestEnumerations:
     def test_counts_match_the_published_tallies(self):

@@ -94,6 +94,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             normalize_pair(2, 2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: path_graph(3).has_edge(True, 2),
+            lambda: remove_edges(path_graph(3), [(True, 2)]),
+            lambda: (True, 2) in pair_set([(1, 2)]),
+            lambda: normalize_pair(1.0, 2),
+        ],
+        ids=["has_edge", "remove_edges", "pair-set-contains", "float"],
+    )
+    def test_pair_ids_that_are_not_ints_are_refused(self, call):
+        # True == 1, so a bool id would silently alias vertex 1.
+        with pytest.raises(ValueError, match="not an int"):
+            call()
+
 
 class TestPairSet:
     def test_iteration_is_sorted(self):
@@ -216,6 +231,14 @@ class TestSimplePaths:
     def test_unreachable_yields_nothing(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         assert list(simple_paths(g, 0, 3)) == []
+
+    @pytest.mark.parametrize("max_len", [True, 2.5])
+    def test_rejects_a_max_len_that_is_not_an_int(self, max_len):
+        with pytest.raises(ValueError, match="max_len"):
+            list(simple_paths(path_graph(3), 0, 2, max_len))
+        # None and a negative int stay valid: no bound, and no path.
+        assert list(simple_paths(path_graph(3), 0, 2, None)) == [(0, 1, 2)]
+        assert list(simple_paths(path_graph(3), 0, 2, -1)) == []
 
     def test_long_path_does_not_recurse(self):
         assert list(simple_paths(path_graph(1200), 0, 1199)) == [tuple(range(1200))]

@@ -10,7 +10,7 @@ from rvckit import harness
 from rvckit.families import complete_graph, cycle_graph, path_graph
 from rvckit import gadgets
 from rvckit.gadgets import build_gadget, lift_coloring
-from rvckit.graphs import pair_set
+from rvckit.graphs import VertexColoring, pair_set
 from rvckit.harness import (
     CHECKS,
     SUITES,
@@ -136,8 +136,14 @@ class TestChecksOnHealthyGadgets:
                 lambda: check_pendant_equivalence(cycle_graph(5), 3),
                 "chromatic decision False but subset decision True",
             ),
+            (
+                "decide_subset_rvc",
+                lambda g, p, k: SolveResult(True, VertexColoring((1,) * g.n, k), 0),
+                lambda: check_pendant_equivalence(cycle_graph(5), 3),
+                "subset witness restricted to the source gives edge (0, 1) one color",
+            ),
         ],
-        ids=["gadget-side", "projection", "chromatic-side"],
+        ids=["gadget-side", "projection", "chromatic-side", "pendant-witness"],
     )
     def test_equivalence_checks_report_a_disagreement(self, monkeypatch, name, fake, check, detail):
         # Each side is decided on its own, so making one side lie must fail
@@ -342,6 +348,13 @@ class TestSweeps:
         assert all(r.status == "pass" for r in reports)
         keys = [(r.check, r.instance) for r in reports]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("jobs", [2.5, 0, True])
+    def test_jobs_must_be_an_int_of_at_least_one(self, jobs):
+        # Each is refused before any check runs or any worker starts; 0 and
+        # True used to run serially, 2.5 to fail inside the pool.
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite("core", jobs=jobs)
 
     def test_parallel_matches_serial(self):
         serial = run_suite("equivalence", jobs=1)
