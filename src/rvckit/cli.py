@@ -9,10 +9,12 @@ without inspecting stdout.
 
 Every command writes its outputs inside one block, ``_output_files``: each
 output path is opened for append before anything is written, which leaves
-an existing file as it is, so a path that cannot be opened stops the command before it prints
-anything, and if the command then fails, the files it created are removed
-again while a file that existed before stays.  ``claims`` streams its report
-inside that block; every other command writes through ``_write_outputs``.
+an existing file as it is, so a path that cannot be opened stops the command
+before it prints anything, and if the command then fails, the files it
+created are removed again while a file that existed before stays.  Stdout is
+flushed inside the block, so a stdout reader that has gone fails the command
+too (exit 2).  ``claims`` streams its report inside that block; every other
+command writes through ``_write_outputs``.
 ``solve``, ``decide`` and ``subset`` have one answer writer,
 ``_write_answer``: the answer line (``rvc = K`` or ``yes``), then
 ``coloring = ...``, and with -o the instance with the witness coloring, or
@@ -59,7 +61,9 @@ def _output_files(*paths):
     """Open each path for append, which leaves an existing file as it is, then run the block.
 
     If a path cannot be opened or the block raises, the files this created
-    are removed again; a file that existed before is left in place.
+    are removed again; a file that existed before is left in place.  Stdout
+    is flushed inside the block, so a reader that has gone fails the block
+    too, even when stdout is block-buffered, as it is on a pipe.
     """
     created = []
     try:
@@ -69,6 +73,7 @@ def _output_files(*paths):
             if new:
                 created.append(path)
         yield
+        sys.stdout.flush()
     except BaseException:
         for path in created:
             os.remove(path)
@@ -367,4 +372,12 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone and the unwritten text stays buffered: point
+        # stdout at the null device, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

@@ -140,7 +140,8 @@ class GadgetGraph:
     @property
     def base_edges(self) -> frozenset:
         """The base-layer copy of the source graph's edges, in gadget ids."""
-        return frozenset(e for e in self.graph.edges if e[0] >= self.base[0])
+        adj = self.graph.adjacency
+        return frozenset((x, y) for x in self.base for y in adj[x] if x < y)
 
     # The cached properties below are kept per gadget object, outside the
     # fields: a corrupted copy made with ``dataclasses.replace`` starts
@@ -289,8 +290,8 @@ def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
         raise ValueError("gadget construction expects a connected graph")
     p.check_in_range(g)
     labels, edges = _structure(g, p, k)
-    # Graph validates every edge; _structure emits them already ordered.
-    graph = Graph(len(labels), frozenset(edges))
+    # Graph validates every edge; _structure emits each once, already ordered.
+    graph = Graph(len(labels), edges)
     return GadgetGraph(g, p, k, graph, tuple(labels))
 
 

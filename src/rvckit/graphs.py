@@ -1,74 +1,94 @@
 """Immutable simple graphs plus the small value types shared by every module.
 
-Vertices are dense integers 0..n-1.  Edges and vertex pairs are stored as
-(i, j) tuples with i < j, so every set comparison and every emitted file
-sees one canonical form.
+Vertices are dense integers 0..n-1.  Edges and vertex pairs are (i, j)
+tuples with i < j, so every set comparison and every emitted file sees one
+canonical form.
+
+A ``Graph`` stores its neighbour tables, the only ones the searches and
+verifiers read: each vertex's neighbour bitmask (``masks``) and sorted
+neighbour tuple (``adjacency``), plus the edge count ``m``.  Its edge set
+``edges`` is built from ``adjacency`` the first time something reads it, so
+a graph that is only decided never holds its edges twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 INFINITY = math.inf
 
 
-def normalize_pair(u: int, v: int) -> tuple[int, int]:
-    """Order an unordered pair; rejects the diagonal and ids that are not ints."""
+def _check_ids(u, v) -> None:
     # type() rather than isinstance(): bool is an int subclass, and True
     # would silently alias vertex 1.
     if type(u) is not int or type(v) is not int:
         raise ValueError(f"pair ({u!r}, {v!r}) has a vertex id that is not an int")
+
+
+def normalize_pair(u: int, v: int) -> tuple[int, int]:
+    """Order an unordered pair; rejects the diagonal and ids that are not ints."""
+    _check_ids(u, v)
     if u == v:
         raise ValueError(f"pair ({u}, {v}) repeats a vertex")
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Instances are immutable; every mutation helper returns a new graph.
-    Build through :func:`graph_from_edges` unless the edge set is already
-    normalized.
+    ``Graph(n, edges)`` takes any iterable of ordered int pairs (i, j),
+    0 <= i < j < n, each at most once; :func:`graph_from_edges` orders and
+    dedupes a raw edge list first.  Instances are immutable; every mutation
+    helper returns a new graph.
     """
 
+    # masks[x]: x's neighbour bitmask, bit y set when xy is an edge; with n
+    # it is all that equality and hashing read.  adjacency[v]: v's sorted
+    # neighbour tuple.  m: the edge count.  All three are built once, here.
     n: int
-    edges: frozenset
-    # adjacency[v]: v's sorted neighbour tuple.  masks[x]: x's neighbour
-    # bitmask, bit y set when xy is an edge.  Both are built once, here.
-    adjacency: tuple = field(init=False, repr=False, compare=False)
-    masks: tuple = field(init=False, repr=False, compare=False)
+    masks: tuple
+    adjacency: tuple = field(compare=False)
+    m: int = field(compare=False)
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: Iterable):
         # type() rather than isinstance(): bool is an int subclass, and
         # True would silently build a one-vertex graph.
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"graph order must be an int of at least 1, got {self.n!r}")
-        adj = [[] for _ in range(self.n)]
-        masks = [0] * self.n
-        for e in self.edges:
+        if type(n) is not int or n < 1:
+            raise ValueError(f"graph order must be an int of at least 1, got {n!r}")
+        adj = [[] for _ in range(n)]
+        masks = [0] * n
+        for e in edges:
             u, v = e
             # type() rather than isinstance(): bool is an int subclass, and
             # True would silently alias vertex 1.
-            if type(u) is not int or type(v) is not int or not 0 <= u < v < self.n:
-                raise ValueError(_edge_fault(u, v, self.n))
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
+                raise ValueError(_edge_fault(u, v, n))
+            if masks[u] >> v & 1:
+                raise ValueError(f"edge ({u}, {v}) is repeated")
             adj[u].append(v)
             adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "m", sum(map(len, adj)) // 2)
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> frozenset:
+        """The (i, j), i < j, edge set, built from adjacency on first read."""
+        return frozenset((u, v) for u, a in enumerate(self.adjacency) for v in a if u < v)
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return normalize_pair(u, v) in self.edges
+        _check_ids(u, v)
+        return 0 <= u < self.n and 0 <= v < self.n and self.masks[u] >> v & 1 == 1
 
     def check_vertex(self, v: int) -> None:
         if type(v) is not int:
@@ -101,7 +121,7 @@ def graph_from_edges(n: int, edges: Iterable) -> Graph:
         except TypeError:
             # Ids that do not compare, such as a str against an int.
             raise ValueError(_edge_fault(u, v, n)) from None
-    return Graph(n, frozenset(norm))
+    return Graph(n, norm)
 
 
 @dataclass(frozen=True)
@@ -130,9 +150,8 @@ class PairSet:
 
     def __contains__(self, pair) -> bool:
         u, v = pair
-        if u == v:
-            return False
-        return normalize_pair(u, v) in self.pairs
+        _check_ids(u, v)
+        return (u, v) in self.pairs or (v, u) in self.pairs
 
     def check_in_range(self, g: Graph) -> None:
         for u, v in self.pairs:

@@ -297,10 +297,11 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int of at least 1, got {k!r}")
-    witness, nodes = _search(g, k, [[(1 << u | 1 << v, (u, v))] for u, v in sorted(g.edges)])
+    edges = [(u, v) for u, a in enumerate(g.adjacency) for v in a if u < v]
+    witness, nodes = _search(g, k, [[(1 << u | 1 << v, (u, v))] for u, v in edges])
     if witness is None:
         return SolveResult(False, None, nodes)
-    for u, v in g.edges:
+    for u, v in edges:
         if witness.colors[u] == witness.colors[v]:
             raise RuntimeError("proper-coloring search returned an improper coloring")
     return SolveResult(True, witness, nodes)

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -699,6 +700,31 @@ class TestUsageAndErrors:
         monkeypatch.setattr("rvckit.cli.decide_rvc_le_k", crash)
         assert cli_main(["decide", "-i", p5_file, "-k", "2", "--expect-no"]) == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_two_and_removes_the_new_file(p5_file, tmp_path):
+    # On a pipe, stdout is block-buffered unless PYTHONUNBUFFERED is set, so
+    # the answer reaches the pipe only when stdout is flushed.  The reader
+    # is gone before the process starts: the command must still exit 2
+    # with no traceback, and remove the -o file its probe created.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "new.json"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "rvckit", "solve", "-i", p5_file, "-o", str(out)],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(w)
+    assert run.returncode == 2
+    assert "Broken pipe" in run.stderr
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+    assert not out.exists()
 
 
 def test_console_script_entry_point(p5_file):

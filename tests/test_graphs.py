@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -24,6 +25,8 @@ from rvckit.graphs import (
     simple_paths,
 )
 from rvckit.families import complete_graph, cycle_graph, path_graph
+from rvckit.rainbow import exists_rainbow_path, first_unserved_pair
+from rvckit.solver import decide_rvc_le_k, rvc_exact
 
 
 class TestConstruction:
@@ -79,7 +82,7 @@ class TestConstruction:
     def test_tables_are_frozen_fields_outside_equality(self):
         # The neighbour tables are fields built once by the constructor:
         # they cannot be reassigned, and equality and hashing read only n
-        # and the edges, so edge order does not matter.
+        # and the masks, so edge order does not matter.
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(FrozenInstanceError):
             g.adjacency = ()
@@ -101,13 +104,74 @@ class TestConstruction:
             lambda: remove_edges(path_graph(3), [(True, 2)]),
             lambda: (True, 2) in pair_set([(1, 2)]),
             lambda: normalize_pair(1.0, 2),
+            lambda: path_graph(3).has_edge(True, True),
+            lambda: (1.0, 1.0) in pair_set([(1, 2)]),
         ],
-        ids=["has_edge", "remove_edges", "pair-set-contains", "float"],
+        ids=[
+            "has_edge",
+            "remove_edges",
+            "pair-set-contains",
+            "float",
+            "has_edge-diagonal",
+            "pair-set-contains-diagonal",
+        ],
     )
     def test_pair_ids_that_are_not_ints_are_refused(self, call):
         # True == 1, so a bool id would silently alias vertex 1.
         with pytest.raises(ValueError, match="not an int"):
             call()
+
+
+class TestEdgeSet:
+    """``Graph`` stores its neighbour tables; the edge set is built on first read."""
+
+    def test_decisions_never_build_the_edge_set(self):
+        g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        c = coloring([1, 1, 2, 3, 1], 3)
+        assert rvc_exact(g)[0] == 3
+        assert decide_rvc_le_k(g, 3).decision
+        assert first_unserved_pair(g, c) is None
+        assert exists_rainbow_path(g, c, 0, 4) is not None
+        assert "edges" not in vars(g)
+        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
+        assert "edges" in vars(g)
+
+    def test_any_iterable_of_ordered_pairs_builds_the_same_graph(self):
+        edges = [(0, 1), (1, 3), (0, 2)]
+        g, h = Graph(4, edges), Graph(4, frozenset(edges))
+        assert g == h and hash(g) == hash(h)
+        assert g.m == h.m == 3
+        assert Graph(4, iter(edges)) == g
+
+    def test_a_repeated_edge_is_refused(self):
+        with pytest.raises(ValueError, match="repeated"):
+            Graph(3, [(0, 1), (1, 2), (0, 1)])
+
+    def test_pickle_round_trips(self):
+        # --jobs workers receive their graphs pickled.
+        g = cycle_graph(5)
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and hash(h) == hash(g)
+        assert h.adjacency == g.adjacency and h.m == g.m
+        assert h.edges == g.edges
+
+    def test_repr_names_the_order_and_the_edges(self):
+        assert repr(path_graph(2)) == "Graph(n=2, edges=frozenset({(0, 1)}))"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_edges_equal_the_normalized_input(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        ids = st.integers(0, n - 1)
+        raw = [(u, v) for u, v in data.draw(st.lists(st.tuples(ids, ids)), label="raw") if u != v]
+        g = graph_from_edges(n, raw)
+        want = {normalize_pair(u, v) for u, v in raw}
+        assert g.edges == want and g.m == len(want)
+        assert Graph(n, sorted(want)) == g
+        for u in range(n):
+            row = tuple(v for v in range(n) if (min(u, v), max(u, v)) in want)
+            assert g.adjacency[u] == row
+            assert g.masks[u] == sum(1 << v for v in row)
 
 
 class TestPairSet:
