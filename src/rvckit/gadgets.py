@@ -49,6 +49,7 @@ from .graphs import (
     PairSet,
     VertexColoring,
     adjacency_distances,
+    check_int,
     check_total_coloring,
     graph_from_edges,
     is_connected,
@@ -284,8 +285,7 @@ def _lift_color(label, k: int, c: VertexColoring) -> int:
 
 def build_gadget(g: Graph, p: PairSet, k: int) -> GadgetGraph:
     """Build the level-k gadget for (g, p)."""
-    if type(k) is not int or k < 2:
-        raise ValueError(f"gadget levels are ints from k = 2, got {k!r}")
+    check_int("gadget level", k, 2)
     if not is_connected(g):
         raise ValueError("gadget construction expects a connected graph")
     p.check_in_range(g)

@@ -9,6 +9,11 @@ verifiers read: each vertex's neighbour bitmask (``masks``) and sorted
 neighbour tuple (``adjacency``), plus the edge count ``m``.  Its edge set
 ``edges`` is built from ``adjacency`` the first time something reads it, so
 a graph that is only decided never holds its edges twice.
+
+:func:`check_int` is the one check of every order, budget, level and job
+count passed to the package's functions, here or in any other module.  The
+instance-file parser, the atlas's two-sided range and the CLI's ``--jobs`` flag
+keep their own texts.
 """
 
 from __future__ import annotations
@@ -19,6 +24,17 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 INFINITY = math.inf
+
+
+def check_int(name: str, x, lo: int) -> None:
+    """Refuse ``x`` with a ``ValueError`` unless it is an int of at least ``lo``.
+
+    type() rather than isinstance(): bool is an int subclass, so True would
+    pass as 1, and a float such as 2.0 would reach range() or the searches'
+    bit arithmetic.
+    """
+    if type(x) is not int or x < lo:
+        raise ValueError(f"{name} must be an int of at least {lo}, got {x!r}")
 
 
 def _check_ids(u, v) -> None:
@@ -43,22 +59,21 @@ class Graph:
     ``Graph(n, edges)`` takes any iterable of ordered int pairs (i, j),
     0 <= i < j < n, each at most once; :func:`graph_from_edges` orders and
     dedupes a raw edge list first.  Instances are immutable; every mutation
-    helper returns a new graph.
+    helper returns a new graph.  ``n`` is the only init field, so
+    ``dataclasses.replace(g, edges=...)`` builds a new graph of the same
+    order, and the tables the constructor builds cannot be handed in.
     """
 
     # masks[x]: x's neighbour bitmask, bit y set when xy is an edge; with n
     # it is all that equality and hashing read.  adjacency[v]: v's sorted
     # neighbour tuple.  m: the edge count.  All three are built once, here.
     n: int
-    masks: tuple
-    adjacency: tuple = field(compare=False)
-    m: int = field(compare=False)
+    masks: tuple = field(init=False)
+    adjacency: tuple = field(init=False, compare=False)
+    m: int = field(init=False, compare=False)
 
     def __init__(self, n: int, edges: Iterable):
-        # type() rather than isinstance(): bool is an int subclass, and
-        # True would silently build a one-vertex graph.
-        if type(n) is not int or n < 1:
-            raise ValueError(f"graph order must be an int of at least 1, got {n!r}")
+        check_int("graph order", n, 1)
         adj = [[] for _ in range(n)]
         masks = [0] * n
         for e in edges:
@@ -176,10 +191,9 @@ class VertexColoring:
     k: int
 
     def __post_init__(self):
+        check_int("color budget", self.k, 1)
         # type() rather than isinstance(), as for vertex ids: a bool or a
         # float color would reach the searches' bit arithmetic.
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"color budget must be an int of at least 1, got {self.k!r}")
         for v, c in enumerate(self.colors):
             if type(c) is not int or not 1 <= c <= self.k:
                 raise ValueError(f"vertex {v} has color {c!r}, not an int in 1..{self.k}")

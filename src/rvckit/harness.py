@@ -44,6 +44,7 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
+    check_int,
     graph_from_edges,
     normalize_pair,
     pair_set,
@@ -338,9 +339,7 @@ def run_suite(name: str, jobs: int = 1) -> list:
     ``run_check`` up in this module on every job, so a wrapper installed on
     the module attribute sees each check.
     """
-    # type() rather than isinstance(): True would run serially as 1.
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
+    check_int("jobs", jobs, 1)
     work = suite_jobs(name)
     if jobs > 1:
         from multiprocessing import Pool

@@ -49,18 +49,13 @@ def _load_object(text: str) -> dict:
     return obj
 
 
-def _is_int(x) -> bool:
-    """True for JSON integers; json.loads turns true/false into bool, an int subclass."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_pair_list(raw, name: str) -> list:
     """Check a JSON list of [a, b] integer pairs and return it as tuples."""
     if not isinstance(raw, list):
         raise InstanceFormatError(f"field '{name}' must be a list of [a, b] pairs")
     out = []
     for idx, p in enumerate(raw):
-        if not isinstance(p, list) or len(p) != 2 or not all(_is_int(x) for x in p):
+        if not isinstance(p, list) or len(p) != 2 or not all(type(x) is int for x in p):
             raise InstanceFormatError(f"{name}[{idx}] must be a two-integer list")
         out.append((p[0], p[1]))
     return out
@@ -68,7 +63,7 @@ def _parse_pair_list(raw, name: str) -> list:
 
 def _parse_graph(obj: dict) -> Graph:
     n = obj.get("n")
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise InstanceFormatError("field 'n' must be a positive integer")
     edges = _parse_pair_list(obj.get("edges"), "edges")
     try:
@@ -95,7 +90,7 @@ def _parse_k(obj: dict) -> int | None:
     if "k" not in obj:
         return None
     k = obj["k"]
-    if not _is_int(k) or k < 0:
+    if type(k) is not int or k < 0:
         raise InstanceFormatError("field 'k' must be a non-negative integer")
     return k
 
@@ -109,7 +104,7 @@ def _parse_coloring(obj: dict, g: Graph) -> VertexColoring | None:
     raw = obj.get("coloring")
     if raw is None:
         return None
-    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
         raise InstanceFormatError("field 'coloring' must be a list of integers")
     if len(raw) != g.n:
         raise InstanceFormatError(

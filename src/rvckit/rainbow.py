@@ -44,9 +44,13 @@ from .graphs import (
     Graph,
     PairSet,
     VertexColoring,
+    check_int,
     check_total_coloring,
     is_connected,
 )
+
+# The one text for the connected-graph rule of every all-pairs check.
+DISCONNECTED = "rainbow vertex-connection is defined for connected graphs"
 
 
 @dataclass
@@ -77,12 +81,8 @@ def path_budget(n: int, k: int) -> int:
     declared far above the colors in use costs one power, not k+1 of them.
     Python integers are exact at any size, so it never overflows.
     """
-    # type() rather than isinstance(): bool is an int subclass, and a float
-    # would give a float budget.
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int of at least 1, got {n!r}")
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be an int of at least 0, got {k!r}")
+    check_int("n", n, 1)
+    check_int("k", k, 0)
     if n == 1:
         return k + 1
     return (n ** (k + 1) - 1) // (n - 1)
@@ -508,7 +508,7 @@ def first_unserved_pair(g: Graph, c: VertexColoring, p: PairSet | None = None) -
         (((m & -m).bit_length() - 1, y) for y, m in enumerate(missing) if m), default=None
     )
     if unserved is not None and p is None and not is_connected(g):
-        raise ValueError("rainbow vertex-connection is defined for connected graphs")
+        raise ValueError(DISCONNECTED)
     return unserved
 
 

@@ -63,12 +63,11 @@ from .graphs import (
     PairSet,
     VertexColoring,
     adjacency_distances,
+    check_int,
     is_complete,
     is_connected,
 )
-from .rainbow import first_unserved_pair
-
-_DISCONNECTED = "rainbow vertex-connection needs a connected graph"
+from .rainbow import DISCONNECTED, first_unserved_pair
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def _far_pairs(g: Graph, p: PairSet | None) -> list:
         if row is None:
             row = rows[b] = adjacency_distances(adj, b)
             if None in row:
-                raise ValueError(_DISCONNECTED)
+                raise ValueError(DISCONNECTED)
         far.append((a, b, row))
     return far
 
@@ -248,10 +247,9 @@ def _decide(g: Graph, k: int, p: PairSet | None, far: list) -> SolveResult:
 
 def decide_subset_rvc(g: Graph, p: PairSet, k: int) -> SolveResult:
     """Decide whether some k-coloring makes every pair in p rainbow connected."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an int of at least 1, got {k!r}")
+    check_int("k", k, 1)
     if not is_connected(g):
-        raise ValueError(_DISCONNECTED)
+        raise ValueError(DISCONNECTED)
     p.check_in_range(g)
     return _decide(g, k, p, _far_pairs(g, p))
 
@@ -262,8 +260,7 @@ def decide_rvc_le_k(g: Graph, k: int) -> SolveResult:
     k = 0 holds exactly for complete graphs (every pair is an edge), where no
     coloring is needed and none is reported.
     """
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be an int of at least 0, got {k!r}")
+    check_int("k", k, 0)
     far = _far_pairs(g, None)
     if k == 0:
         return SolveResult(is_complete(g), None, 0)
@@ -295,8 +292,7 @@ def chromatic_decision(g: Graph, k: int) -> SolveResult:
 
     Each edge is a constraint whose one candidate set is its two ends.
     """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an int of at least 1, got {k!r}")
+    check_int("k", k, 1)
     edges = [(u, v) for u, a in enumerate(g.adjacency) for v in a if u < v]
     witness, nodes = _search(g, k, [[(1 << u | 1 << v, (u, v))] for u, v in edges])
     if witness is None:

@@ -634,6 +634,17 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert err == "error: no requested pairs: give 'pairs' in the file or --pairs\n"
 
+    def test_disconnected_graph_has_one_error_line(self, tmp_path, capsys):
+        # The all-pairs verifier and the solver state the connected-graph
+        # rule in the same words.
+        path = tmp_path / "two-edges.json"
+        path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}\n')
+        assert cli_main(["verify", "-i", str(path), "--coloring", "[1, 1, 1, 1]"]) == 2
+        verify_err = capsys.readouterr().err
+        assert cli_main(["solve", "-i", str(path)]) == 2
+        assert capsys.readouterr().err == verify_err
+        assert verify_err == "error: rainbow vertex-connection is defined for connected graphs\n"
+
     @pytest.mark.parametrize("args", [["verify"], ["lift", "-k", "2"]], ids=["verify", "lift"])
     def test_missing_coloring_exits_two(self, p3_file, args, capsys):
         assert cli_main([args[0], "-i", p3_file] + args[1:]) == 2

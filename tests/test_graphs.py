@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +91,16 @@ class TestConstruction:
         h = graph_from_edges(4, [(3, 0), (3, 2), (2, 1), (1, 0)])
         assert g == h and hash(g) == hash(h)
         assert g.adjacency == h.adjacency and g.masks == h.masks
+
+    def test_replace_rebuilds_from_edges_on_the_same_order(self):
+        # Only n is an init field, so replace() passes it on with the given
+        # edges; the tables the constructor builds cannot be handed in.
+        g = path_graph(3)
+        assert replace(g, edges=[(0, 1)]) == Graph(3, [(0, 1)])
+        with pytest.raises(TypeError, match="edges"):
+            replace(g, n=4)
+        with pytest.raises(ValueError, match="masks"):
+            replace(g, masks=(0, 0, 0))
 
     def test_normalize_pair(self):
         assert normalize_pair(3, 1) == (1, 3)

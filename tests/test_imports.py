@@ -54,14 +54,16 @@ def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Names the package no longer defines: each was read only by tests or only
-# re-wrapped ``Graph.adjacency``.  (owner, name) pairs; the owner is the
-# module or class that defined the name.
+# Names the package no longer defines: each was read only by tests, only
+# re-wrapped ``Graph.adjacency``, or restated ``graphs.check_int``.  (owner,
+# name) pairs; the owner is the module or class that defined the name.
 REMOVED = [
     ("graphs", "all_vertex_pairs"),
     ("graphs", "EMPTY_PAIRS"),
     ("graphs", "distances_from"),
     ("families", "connected_graphs_of_order"),
+    ("families", "_check_int"),
+    ("io", "_is_int"),
     ("rainbow", "is_rainbow_path"),
     ("Graph", "vertices"),
     ("Graph", "degree"),
